@@ -29,6 +29,7 @@ class Timer:
 
     def cancel(self) -> None:
         self.cancelled = True
+        self.fn = None  # a cancelled timer stays queued until its deadline
 
     def __lt__(self, other: "Timer") -> bool:
         return self.deadline < other.deadline

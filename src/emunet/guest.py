@@ -21,6 +21,7 @@ from .usernet import seq_add, seq_leq
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
+    BROADCAST_MAC,
     DHCP_ACK,
     DHCP_DISCOVER,
     DHCP_NAK,
@@ -30,6 +31,7 @@ from .wire import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    ZERO_MAC,
     ArpPacket,
     DecodeError,
     DhcpMessage,
@@ -298,6 +300,7 @@ class GuestTcpConn:
         self.snd_nxt = self.iss
         self.snd_una = self.iss
         self.rcv_nxt = 0
+        self.last_ack_sent = 0  # ack field of the newest segment sent
         self.peer_window = GUEST_TCP_WINDOW
         self.send_buf = bytearray()
         self.close_requested = False
@@ -355,25 +358,26 @@ class GuestTcpConn:
     def _data_segment(self, seg: TcpSegment) -> None:
         if seg.ack_flag:
             self._process_ack(seg.ack, seg.window)
-        ack_needed = False
+        reack = False  # out of order or duplicate: re-ack what we have
         if seg.payload:
             if seg.seq == self.rcv_nxt:
                 self.rcv_nxt = seq_add(self.rcv_nxt, len(seg.payload))
-                ack_needed = True
                 self.stack.app_data_events += 1
                 self.app.on_data(seg.payload)
             else:
-                self.stack.drop_counts["tcp_out_of_order"] += 1
-                ack_needed = True
-        if seg.fin and not self.peer_fin:
-            if seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
+                self.stack._count("tcp_out_of_order")
+                reack = True
+        if seg.fin:
+            if not self.peer_fin and seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
                 self.peer_fin = True
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-                ack_needed = True
                 self.app.on_eof()
-        if ack_needed:
-            self._transmit(ack_flag=True)
+            else:
+                reack = True
         self._pump()
+        # data the app sent back already carries the ack (RFC 9293 3.8.6.3)
+        if reack or self.last_ack_sent != self.rcv_nxt:
+            self._transmit(ack_flag=True)
         self._maybe_close()
 
     def _process_ack(self, ack: int, window: int) -> None:
@@ -437,6 +441,8 @@ class GuestTcpConn:
             payload=payload,
         )
         self.stack.send_tcp(self.peer_ip, seg)
+        if ack_flag:
+            self.last_ack_sent = self.rcv_nxt
         self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if syn or fin else 0))
 
     # -- teardown -------------------------------------------------------------------
@@ -626,7 +632,7 @@ class GuestStack:
                 ident=self._next_ident(),
             )
         )
-        self._transmit_frame(MacAddress(b"\xff" * 6), ETHERTYPE_IPV4, raw_ip)
+        self._transmit_frame(BROADCAST_MAC, ETHERTYPE_IPV4, raw_ip)
 
     def _dhcp_in(self, payload: bytes) -> None:
         try:
@@ -751,10 +757,10 @@ class GuestStack:
             op=ARP_OP_REQUEST,
             sender_mac=self.mac,
             sender_ip=self.ip or ZERO_IP,
-            target_mac=MacAddress(b"\x00" * 6),
+            target_mac=ZERO_MAC,
             target_ip=target_ip,
         )
-        self._transmit_frame(MacAddress(b"\xff" * 6), ETHERTYPE_ARP, encode_arp(request))
+        self._transmit_frame(BROADCAST_MAC, ETHERTYPE_ARP, encode_arp(request))
 
     def _transmit_frame(self, dst: MacAddress, ethertype: int, payload: bytes) -> None:
         raw = encode_frame(EthernetFrame(dst=dst, src=self.mac, ethertype=ethertype, payload=payload))

@@ -11,9 +11,17 @@ proxy: host-side byte streams are re-segmented with locally generated
 sequence numbers (fixed 8 KiB window, 500 ms retransmit timer with 5
 retries, no SACK, no congestion control).
 
+ACKs ride on data, at this end and at the guest's: after a segment
+arrives, queued data is sent first, and a bare ACK follows only if the
+segment was out of order or a duplicate, or if no segment sent since has
+carried the new ``rcv_nxt`` (RFC 9293 section 3.8.6.3, with no timer).
+
 Threading: all guest-facing state is owned by the instance event loop.
 Listener/reader/writer threads touch sockets only and post closures onto
-the loop.
+the loop.  A reader calls ``recv`` only while the bytes it has posted and
+the loop has not yet taken, plus the flow's unsent ``send_buf``, stay below
+``SEND_BUF_HIGH``; so a host that sends faster than the guest ACKs waits in
+its own socket buffer, not in this process.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .eventloop import EventLoop
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
+    BROADCAST_MAC,
     DHCP_ACK,
     DHCP_DISCOVER,
     DHCP_NAK,
@@ -39,6 +48,7 @@ from .wire import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    ZERO_MAC,
     ArpPacket,
     DecodeError,
     DhcpMessage,
@@ -196,6 +206,7 @@ GUEST_WINDOW = 8192
 RETRANSMIT_S = 0.5
 MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
+SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet sent, before it stops reading
 
 
 class NatFlow:
@@ -218,11 +229,17 @@ class NatFlow:
         self.direction = direction  # "inbound" | "outbound"
         self.sock: socket.socket | None = None
         self.writer_q: queue.Queue = queue.Queue()
+        # Read backpressure.  Each counter has one writer: the reader thread
+        # adds what it posts, the loop adds what host_data took in.
+        self.host_posted = 0
+        self.host_taken = 0
+        self.host_readable = threading.Event()  # set by the loop to wake the reader
         self.state = "new"
         self.iss = stack.rng.getrandbits(32)
         self.snd_nxt = self.iss
         self.snd_una = self.iss
         self.rcv_nxt = 0
+        self.last_ack_sent = 0  # ack field of the newest segment sent
         self.peer_window = GUEST_WINDOW
         self.send_buf = bytearray()
         self.unacked: list[tuple[int, bytes, bool, bool]] = []  # (seq, payload, syn, fin)
@@ -335,23 +352,24 @@ class NatFlow:
     def _established_segment(self, seg: TcpSegment) -> None:
         if seg.ack_flag:
             self._process_ack(seg.ack, seg.window)
-        ack_needed = False
+        reack = False  # out of order or duplicate: re-ack what we have
         if seg.payload:
             if seg.seq == self.rcv_nxt:
                 self.rcv_nxt = seq_add(self.rcv_nxt, len(seg.payload))
                 self.writer_q.put(seg.payload)
-                ack_needed = True
             else:
-                ack_needed = True  # out of order: re-ack what we have
-        if seg.fin and not self.guest_fin:
-            if seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
+                reack = True
+        if seg.fin:
+            if not self.guest_fin and seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
                 self.guest_fin = True
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)
                 self.writer_q.put(_EOF)
-                ack_needed = True
-        if ack_needed:
-            self._transmit(ack_flag=True)
+            else:
+                reack = True
         self._pump()
+        # queued host data sent by _pump already carries the ack
+        if reack or self.last_ack_sent != self.rcv_nxt:
+            self._transmit(ack_flag=True)
         self._maybe_finish()
 
     def _process_ack(self, ack: int, window: int) -> None:
@@ -374,11 +392,24 @@ class NatFlow:
     # -- host-side events ----------------------------------------------------
 
     def host_data(self, data: bytes) -> None:
-        if self.state == "closed":
-            return
-        self.send_buf += data
-        if self.state in ("established", "fin_wait"):
-            self._pump()
+        if self.state != "closed":
+            self.send_buf += data
+            if self.state in ("established", "fin_wait"):
+                self._pump()
+        self.host_taken += len(data)
+        self._resume_reader()
+
+    def may_read_host(self) -> bool:
+        """Whether the reader may recv(): host bytes posted or unsent stay
+        under SEND_BUF_HIGH.  Called on the reader thread as well."""
+        if self.state == "closed" or self.stack._stopping:
+            return True  # let the reader run into the closed socket and exit
+        backlog = self.host_posted - self.host_taken + len(self.send_buf)
+        return backlog < SEND_BUF_HIGH
+
+    def _resume_reader(self) -> None:
+        if self.may_read_host():
+            self.host_readable.set()
 
     def host_eof_seen(self) -> None:
         if self.state == "closed":
@@ -415,6 +446,7 @@ class NatFlow:
             self.state = "fin_wait"
             self._transmit(fin=True, ack_flag=True, track=True)
         self._arm_retransmit()
+        self._resume_reader()
 
     def _transmit(
         self,
@@ -440,6 +472,8 @@ class NatFlow:
             payload=payload,
         )
         self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
+        if ack_flag:
+            self.last_ack_sent = self.rcv_nxt
         if track:
             self.unacked.append((self.snd_nxt, payload, syn, fin))
         self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if syn or fin else 0))
@@ -494,6 +528,7 @@ class NatFlow:
         self._retransmit_timer = None
         self._handshake_timer = None
         self.writer_q.put(_CLOSE)
+        self.host_readable.set()
         self.stack._remove_flow(self)
 
 
@@ -551,13 +586,11 @@ class UserNetStack:
     def stop(self) -> None:
         self._stopping = True
         for sock in self._listeners:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close_socket(sock)  # shutdown wakes the thread blocked in accept()
         self._listeners.clear()
         for flow in list(self._flows.values()):
             flow.writer_q.put(_CLOSE)
+            flow.host_readable.set()
         self._flows.clear()
 
     def _accept_loop(self, rule: ForwardRule, listener: socket.socket) -> None:
@@ -737,7 +770,7 @@ class UserNetStack:
     def _send_dhcp_to_guest(self, reply: DhcpMessage) -> None:
         if reply.message_type == DHCP_NAK or reply.your_ip == b"\x00\x00\x00\x00":
             dst_ip = b"\xff\xff\xff\xff"
-            dst_mac = MacAddress(b"\xff" * 6)
+            dst_mac = BROADCAST_MAC
         else:
             dst_ip = reply.your_ip
             dst_mac = reply.client_mac
@@ -806,6 +839,11 @@ class UserNetStack:
         sock = flow.sock
         assert sock is not None
         while True:
+            while not flow.may_read_host():
+                flow.host_readable.clear()
+                if flow.may_read_host():  # the loop made room before the clear
+                    break
+                flow.host_readable.wait()
             try:
                 data = sock.recv(65536)
             except OSError:
@@ -814,6 +852,7 @@ class UserNetStack:
             if not data:
                 self.loop.post(flow.host_eof_seen)
                 return
+            flow.host_posted += len(data)  # before the post, so it never lags host_taken
             self.loop.post(lambda d=data: flow.host_data(d))
 
     def _writer_loop(self, flow: NatFlow) -> None:
@@ -848,12 +887,12 @@ class UserNetStack:
             op=ARP_OP_REQUEST,
             sender_mac=self.subnet.gateway_mac,
             sender_ip=self.subnet.gateway_ip,
-            target_mac=MacAddress(b"\x00" * 6),
+            target_mac=ZERO_MAC,
             target_ip=target_ip,
         )
         self._queue_frame(
             EthernetFrame(
-                dst=MacAddress(b"\xff" * 6),
+                dst=BROADCAST_MAC,
                 src=self.subnet.gateway_mac,
                 ethertype=ETHERTYPE_ARP,
                 payload=encode_arp(request),

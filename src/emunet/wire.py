@@ -138,13 +138,15 @@ def decode_frame(raw: bytes) -> EthernetFrame:
 
 
 def _sum16(data: bytes, total: int = 0) -> int:
-    """Ones-complement 16-bit word sum; odd lengths padded with a zero byte."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total += sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    """Ones-complement 16-bit word sum; odd lengths padded with a zero byte.
+
+    Read as one big-endian integer, the data is the sum of its words times
+    powers of 2**16, and 2**16 == 1 (mod 0xFFFF); so the remainder mod 0xFFFF
+    is the end-around-carry sum (RFC 1071 section 2).  A nonzero sum folds to
+    0xFFFF rather than 0, as the carry loop would; only all-zero input gives 0.
+    """
+    total += int.from_bytes(data, "big") << 8 * (len(data) % 2)
+    return total and (total % 0xFFFF or 0xFFFF)
 
 
 def ipv4_checksum(header: bytes) -> int:

@@ -363,3 +363,40 @@ class TestInvariants:
         order = ["open_eth_mii_read", "open_eth_desc_write", "open_eth_start_xmit", "open_eth_receive"]
         positions = [events.index(name) for name in order]
         assert positions == sorted(positions)
+
+
+class TestOutOfOrder:
+    def test_out_of_order_segment_gets_duplicate_ack(self):
+        from emunet.eventloop import EventLoop
+
+        pair = SyncPair(mode="echo")
+        pair.boot()
+        client = _FakeClient(pair)
+        client.open()
+        client.push(b"in order")
+        conn = next(iter(pair.guest.conns.values()))
+        rcv_nxt, data_events = conn.rcv_nxt, pair.guest.app_data_events
+        cursor = len(pair.guest_tx)
+        gap = TcpSegment(
+            src_port=client.src_port, dst_port=client.dst_port,
+            seq=seq_add(client.seq, 100), ack=client.ack, ack_flag=True, window=8192,
+            payload=b"ahead of the stream",
+        )
+        pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, encode_tcp(gap, GATEWAY_IP, GUEST_IP))
+        frame = EthernetFrame(pair.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+        # run it as an instance would: on an event loop that counts exceptions
+        loop = EventLoop()
+        loop.start()
+        loop.post(lambda: pair.inject(frame))
+        loop.stop()
+        loop.join(timeout=5)
+        assert loop.errors == 0
+        replies = [decode_ipv4(f.payload) for f in pair.guest_tx[cursor:]]
+        assert len(replies) == 1
+        dup = decode_tcp(replies[0].payload, GUEST_IP, GATEWAY_IP)
+        # a bare duplicate ACK, even though ACKs otherwise ride on data
+        assert dup.ack_flag and not dup.payload and not (dup.syn or dup.fin or dup.rst)
+        assert dup.ack == rcv_nxt
+        assert pair.guest.drop_counts == {"tcp_out_of_order": 1}
+        assert conn.rcv_nxt == rcv_nxt
+        assert pair.guest.app_data_events == data_events

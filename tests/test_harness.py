@@ -112,6 +112,88 @@ class TestHttpForwarding:
             blocker.close()
 
 
+def _frames(instance) -> tuple[int, int]:
+    """(frames delivered to the guest, frames the guest transmitted)."""
+    return instance.device.rx_accept_count, instance.device.tx_frame_count
+
+
+def _frames_when_quiet(instance, quiet_s: float = 0.1) -> tuple[int, int]:
+    last = _frames(instance)
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        time.sleep(quiet_s)
+        now = _frames(instance)
+        if now == last:
+            return now
+        last = now
+    raise AssertionError("frames kept flowing")
+
+
+def _recv_exactly(sock: socket.socket, size: int) -> bytes:
+    data = bytearray()
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return bytes(data)
+
+
+class TestFramesPerOperation:
+    """ACKs ride on data: a bare ACK only when no segment carried it."""
+
+    def test_get_hello_is_6_frames_in_and_4_out(self, instance_factory):
+        instance, _log, port = instance_factory()
+
+        def idle():
+            return not instance.usernet._flows and not instance.guest.conns
+
+        assert http_get(port) == (200, b"Hello World!")  # warm-up: ARP and caches
+        assert wait_for(idle)
+        rx0, tx0 = _frames_when_quiet(instance)
+        assert http_get(port) == (200, b"Hello World!")
+        assert wait_for(idle)
+        rx1, tx1 = _frames_when_quiet(instance)
+        # in: SYN, ACK, request, ACK of reply, ACK of FIN, FIN
+        # out: SYN-ACK, reply, FIN, ACK of FIN
+        assert (rx1 - rx0, tx1 - tx0) == (6, 4)
+
+    def test_echo_message_is_2_frames_in_and_1_out(self, instance_factory):
+        instance, _log, port = instance_factory(mode="echo")
+        client = socket.create_connection(("127.0.0.1", port), timeout=5)
+        try:
+            client.sendall(b"warm-up")
+            assert _recv_exactly(client, 7) == b"warm-up"
+            rx0, tx0 = _frames_when_quiet(instance)
+            for i in range(10):
+                message = bytes([i]) * 64
+                client.sendall(message)
+                assert _recv_exactly(client, 64) == message
+            rx1, tx1 = _frames_when_quiet(instance)
+        finally:
+            client.close()
+        # in: the message and the ACK of its echo; out: the echo, which acks
+        assert (rx1 - rx0, tx1 - tx0) == (20, 10)
+
+    def test_64k_echo_within_110_frames(self, instance_factory):
+        instance, _log, port = instance_factory(mode="echo")
+        payload = random.Random(0xB01C).randbytes(64 * 1024)
+        client = socket.create_connection(("127.0.0.1", port), timeout=10)
+        try:
+            client.sendall(b"warm-up")
+            assert _recv_exactly(client, 7) == b"warm-up"
+            rx0, tx0 = _frames_when_quiet(instance)
+            sender = threading.Thread(target=client.sendall, args=(payload,))
+            sender.start()
+            echoed = _recv_exactly(client, len(payload))
+            sender.join(timeout=10)
+            rx1, tx1 = _frames_when_quiet(instance)
+        finally:
+            client.close()
+        assert echoed == payload
+        assert (rx1 - rx0) + (tx1 - tx0) <= 110
+
+
 class TestRstAndTeardown:
     def test_forward_to_closed_guest_port_closes_host_connection(self, instance_factory):
         port = free_port()

@@ -335,6 +335,22 @@ class TestFlowTimers:
         assert far.recv(100) == b""
         far.close()
 
+    def test_cancelled_timer_releases_its_callback(self):
+        import weakref
+
+        from emunet.eventloop import EventLoop
+
+        class Owner:
+            def fire(self):
+                pass
+
+        owner = Owner()
+        ref = weakref.ref(owner)
+        timer = EventLoop().call_later(5.0, owner.fire)
+        timer.cancel()  # as a flow cancels its handshake timer once established
+        del owner
+        assert ref() is None  # not held until the deadline
+
     def test_timer_constants_match_policy(self):
         from emunet import usernet
 
@@ -354,3 +370,83 @@ class TestSubnetPlan:
 
     def test_netmask(self):
         assert SubnetPlan().netmask == ip_to_bytes("255.255.255.0")
+
+
+class TestHostReadBackpressure:
+    @pytest.mark.parametrize("ending", ["teardown", "stop"])
+    def test_send_buf_bounded_while_guest_never_acks(self, ending):
+        import socket as socket_mod
+        import threading
+        import time
+
+        from emunet.usernet import SEND_BUF_HIGH, NatFlow
+
+        stack = make_stack()
+        stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
+        near, far = socket_mod.socketpair()
+        flow = NatFlow(
+            stack,
+            guest_ip=ip_to_bytes("10.0.2.15"),
+            guest_port=80,
+            remote_ip=ip_to_bytes("10.0.2.2"),
+            remote_port=49152,
+            direction="inbound",
+        )
+        stack._flows[flow.key] = flow
+        flow.sock = near
+        flow.state = "established"
+        before = set(threading.enumerate())
+        stack._spawn_socket_io(flow)
+        io_threads = set(threading.enumerate()) - before
+
+        def write_all():
+            try:
+                far.sendall(b"\xa5" * (4 * 1024 * 1024))
+            except OSError:
+                pass  # closed below, with the rest still unread
+
+        writer = threading.Thread(target=write_all)
+        writer.start()
+        peak = 0
+        idle_since = time.monotonic()
+        deadline = idle_since + 10
+        while time.monotonic() < deadline and (
+            len(flow.send_buf) < SEND_BUF_HIGH or time.monotonic() - idle_since < 0.3
+        ):
+            if stack.loop.run_pending():
+                idle_since = time.monotonic()
+            stack.poll_frames_out()  # the guest takes frames but never ACKs
+            peak = max(peak, len(flow.send_buf))
+            time.sleep(0.001)
+        assert peak <= SEND_BUF_HIGH + 64 * 1024
+        assert len(flow.send_buf) >= SEND_BUF_HIGH  # stopped at the mark, not before
+        if ending == "teardown":
+            flow._teardown()
+        else:
+            stack.stop()
+        far.close()
+        writer.join(timeout=5)
+        deadline = time.monotonic() + 5
+        while any(t.is_alive() for t in io_threads) and time.monotonic() < deadline:
+            stack.loop.run_pending()
+            time.sleep(0.001)
+        assert not writer.is_alive()
+        assert not any(t.is_alive() for t in io_threads)  # no reader left waiting
+
+
+class TestListenerLifecycle:
+    def test_stop_releases_forwarded_port(self):
+        import socket as socket_mod
+
+        with socket_mod.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        rule = ForwardRule("tcp", "127.0.0.1", port, "", 80)
+        stack = make_stack([rule])
+        stack.start()
+        stack.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket_mod.create_connection(("127.0.0.1", port), timeout=2).close()
+        again = make_stack([rule])
+        again.start()  # raises OSError if the old listener still holds the port
+        again.stop()

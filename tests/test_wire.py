@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emunet import wire
@@ -163,6 +163,22 @@ class TestChecksums:
             seg = bytearray(rng.getrandbits(8) for _ in range(20 + rng.randrange(0, 60)))
             seg[16:18] = b"\x00\x00"
             assert wire.tcp_checksum(src, dst, bytes(seg)) == tcp_checksum_reference(src, dst, bytes(seg))
+
+
+    @given(st.binary(max_size=1600), st.integers(min_value=0, max_value=0xFFFF))
+    @settings(max_examples=500)
+    @example(b"", 0)
+    @example(b"\x00" * 21, 0)  # all zero, odd length: the only sum that is 0
+    @example(b"\x00" * 20, 0xFFFF)
+    @example(b"\xff\xff", 0)  # words summing to 0xFFFF
+    @example(b"\xff\xfe\x00\x01", 0)
+    @example(b"\x12\x34\xed", 0x00CB)  # odd length whose sum folds to 0xFFFF
+    @example(b"\x00\x01", 0xFFFE)  # the seed carries the sum to 0xFFFF
+    def test_sum16_matches_reference_accumulator(self, data, seed):
+        # the reference returns the complemented sum; a seed is one more word
+        expected = ~ones_complement_checksum(seed.to_bytes(2, "big") + data) & 0xFFFF
+        assert wire._sum16(data, seed) == expected
+        assert wire._sum16(bytearray(data), seed) == expected
 
 
 ips = st.binary(min_size=4, max_size=4)
