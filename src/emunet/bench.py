@@ -93,13 +93,6 @@ def _mac_for(index: int) -> str:
     return f"52:54:00:12:34:{(0x56 + index) & 0xFF:02x}"
 
 
-def _instance_mark(index: int):
-    def log(_line: str) -> None:  # guest stdout is not interesting under load
-        pass
-
-    return log
-
-
 def bench(config: BenchConfig, out=None) -> BenchReport:
     """Run the benchmark; raises BenchError if any instance fails to boot."""
     if out is None:
@@ -116,7 +109,7 @@ def bench(config: BenchConfig, out=None) -> BenchReport:
             inst = Instance(
                 GuestConfig(mac=_mac_for(i)),
                 nic,
-                log=_instance_mark(i),
+                log=lambda _line: None,  # guest stdout is not interesting under load
                 name=f"bench{i}",
             )
             try:

@@ -13,11 +13,12 @@ line per served HTTP request.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 from . import device as dev
-from .usernet import seq_add, seq_leq
+from .tcp import TcpEndpoint, seq_add
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -67,9 +68,6 @@ RX_SLOTS = 8
 BUF_SIZE = 1536
 TX_BUF_BASE = 0x1000
 RX_BUF_BASE = 0x8000
-
-GUEST_TCP_WINDOW = 8192
-GUEST_MSS = 1460
 
 BROADCAST_IP = b"\xff\xff\xff\xff"
 ZERO_IP = b"\x00\x00\x00\x00"
@@ -274,12 +272,11 @@ class EchoApp:
         pass
 
 
-class GuestTcpConn:
-    """Reduced TCP connection state machine (no retransmission).
+class GuestTcpConn(TcpEndpoint):
+    """One guest TCP connection, joined to its application.
 
     The virtual wire is lossless and in-order, so loss recovery is left to
-    the NAT side; the guest only tracks sequence state, a fixed advertised
-    window, and orderly/abortive teardown.
+    the NAT side: the guest never retransmits.
     """
 
     def __init__(
@@ -290,174 +287,37 @@ class GuestTcpConn:
         peer_port: int,
         app_factory: Callable,
     ):
+        super().__init__(local_port, peer_port, stack.rng.getrandbits(32), stack.drop_counts)
         self.stack = stack
-        self.local_port = local_port
         self.peer_ip = peer_ip
-        self.peer_port = peer_port
         self.app = app_factory(stack, self)
-        self.state = "closed"
-        self.iss = stack.rng.getrandbits(32)
-        self.snd_nxt = self.iss
-        self.snd_una = self.iss
-        self.rcv_nxt = 0
-        self.last_ack_sent = 0  # ack field of the newest segment sent
-        self.peer_window = GUEST_TCP_WINDOW
-        self.send_buf = bytearray()
-        self.close_requested = False
-        self.fin_sent = False
-        self.fin_end = 0
-        self.fin_acked = False
-        self.peer_fin = False
 
     @property
     def key(self) -> tuple:
         return (self.peer_ip, self.peer_port, self.local_port)
 
-    # -- opening -------------------------------------------------------------
-
-    def accept_syn(self, seg: TcpSegment) -> None:
-        self.rcv_nxt = seq_add(seg.seq, 1)
-        self.peer_window = seg.window
-        self.state = "syn_rcvd"
-        self._transmit(syn=True, ack_flag=True)
-
-    def connect(self) -> None:
-        self.state = "syn_sent"
-        self._transmit(syn=True)
-
-    # -- input -----------------------------------------------------------------
-
-    def segment_in(self, seg: TcpSegment) -> None:
-        if self.state == "closed":
-            return
-        if seg.rst:
-            self._drop("peer reset")
-            return
-        if self.state == "syn_rcvd":
-            if seg.ack_flag and not seg.syn and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.state = "established"
-                self.stack.app_connect_events += 1
-                self.app.on_connect()
-                if seg.payload or seg.fin:
-                    self._data_segment(seg)
-            return
-        if self.state == "syn_sent":
-            if seg.syn and seg.ack_flag and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.rcv_nxt = seq_add(seg.seq, 1)
-                self.peer_window = seg.window
-                self.state = "established"
-                self._transmit(ack_flag=True)
-                self.stack.app_connect_events += 1
-                self.app.on_connect()
-                self._pump()
-            return
-        self._data_segment(seg)
-
-    def _data_segment(self, seg: TcpSegment) -> None:
-        if seg.ack_flag:
-            self._process_ack(seg.ack, seg.window)
-        reack = False  # out of order or duplicate: re-ack what we have
-        if seg.payload:
-            if seg.seq == self.rcv_nxt:
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(seg.payload))
-                self.stack.app_data_events += 1
-                self.app.on_data(seg.payload)
-            else:
-                self.stack._count("tcp_out_of_order")
-                reack = True
-        if seg.fin:
-            if not self.peer_fin and seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
-                self.peer_fin = True
-                self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-                self.app.on_eof()
-            else:
-                reack = True
-        self._pump()
-        # data the app sent back already carries the ack (RFC 9293 3.8.6.3)
-        if reack or self.last_ack_sent != self.rcv_nxt:
-            self._transmit(ack_flag=True)
-        self._maybe_close()
-
-    def _process_ack(self, ack: int, window: int) -> None:
-        self.peer_window = window
-        inflight = (self.snd_nxt - self.snd_una) & 0xFFFFFFFF
-        advance = (ack - self.snd_una) & 0xFFFFFFFF
-        if 0 < advance <= inflight:
-            self.snd_una = ack
-        if self.fin_sent and seq_leq(self.fin_end, self.snd_una):
-            self.fin_acked = True
-
-    # -- output ------------------------------------------------------------------
-
-    def send(self, data: bytes) -> None:
-        self.send_buf += data
-        if self.state in ("established", "fin_wait"):
-            self._pump()
-
-    def close(self) -> None:
-        self.close_requested = True
-        self._pump()
-        self._maybe_close()
-
-    def _pump(self) -> None:
-        if self.state not in ("established", "fin_wait"):
-            return
-        while self.send_buf:
-            inflight = (self.snd_nxt - self.snd_una) & 0xFFFFFFFF
-            room = self.peer_window - inflight
-            if room <= 0:
-                break
-            chunk = bytes(self.send_buf[: min(GUEST_MSS, room)])
-            del self.send_buf[: len(chunk)]
-            self._transmit(payload=chunk, ack_flag=True, psh=not self.send_buf)
-        if self.close_requested and not self.send_buf and not self.fin_sent:
-            self.fin_sent = True
-            self._transmit(fin=True, ack_flag=True)
-            self.fin_end = self.snd_nxt
-            self.state = "fin_wait"
-
-    def _transmit(
-        self,
-        payload: bytes = b"",
-        syn: bool = False,
-        fin: bool = False,
-        rst: bool = False,
-        ack_flag: bool = False,
-        psh: bool = False,
-    ) -> None:
-        seg = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.peer_port,
-            seq=self.snd_nxt,
-            ack=self.rcv_nxt if ack_flag else 0,
-            syn=syn,
-            ack_flag=ack_flag,
-            fin=fin,
-            rst=rst,
-            psh=psh,
-            window=GUEST_TCP_WINDOW,
-            payload=payload,
-        )
+    def _emit(self, seg: TcpSegment) -> None:
         self.stack.send_tcp(self.peer_ip, seg)
-        if ack_flag:
-            self.last_ack_sent = self.rcv_nxt
-        self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if syn or fin else 0))
 
-    # -- teardown -------------------------------------------------------------------
+    def _deliver(self, data: bytes) -> None:
+        self.stack.app_data_events += 1
+        self.app.on_data(data)
 
-    def _maybe_close(self) -> None:
-        if self.fin_sent and self.fin_acked and self.peer_fin and self.state != "closed":
-            self.state = "closed"
-            self.stack.conns.pop(self.key, None)
-            self.app.on_close()
+    def _deliver_eof(self) -> None:
+        self.app.on_eof()
 
-    def _drop(self, reason: str) -> None:
+    def _on_establish(self) -> None:
+        self.stack.app_connect_events += 1
+        self.app.on_connect()
+
+    def _on_finish(self) -> None:
         self.state = "closed"
         self.stack.conns.pop(self.key, None)
-        self.stack._count(f"tcp_{reason.replace(' ', '_')}")
         self.app.on_close()
+
+    def _on_reset(self) -> None:
+        self.stack._count("tcp_peer_reset")
+        self._on_finish()
 
 
 class GuestStack:
@@ -487,7 +347,7 @@ class GuestStack:
         self.arp_pending: dict[bytes, list[bytes]] = {}
         self.listeners: dict[int, Callable] = {}
         self.conns: dict[tuple, GuestTcpConn] = {}
-        self.drop_counts: dict[str, int] = {}
+        self.drop_counts: Counter = Counter()
         self.served_count = 0
         self.app_connect_events = 0
         self.app_data_events = 0
@@ -530,7 +390,7 @@ class GuestStack:
             self._count("ethertype")
 
     def _count(self, reason: str) -> None:
-        self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
+        self.drop_counts[reason] += 1
 
     def _arp_in(self, frame: EthernetFrame) -> None:
         try:
@@ -678,7 +538,7 @@ class GuestStack:
         self._next_port += 1
         conn = GuestTcpConn(self, local_port, dst_ip, dst_port, app_factory)
         self.conns[conn.key] = conn
-        conn.connect()
+        conn.active_open()
         return conn
 
     def _tcp_in(self, pkt: Ipv4Packet) -> None:
@@ -697,7 +557,7 @@ class GuestStack:
                 self, seg.dst_port, pkt.src_ip, seg.src_port, self.listeners[seg.dst_port]
             )
             self.conns[key] = conn
-            conn.accept_syn(seg)
+            conn.passive_open(seg)
             return
         if seg.rst:
             return

@@ -22,7 +22,27 @@ from .trace import NULL_TRACE, TraceConfig
 from .usernet import NicConfig, UserNetStack
 from .wire import DecodeError, decode_frame
 
-_SETTLE_BOUND = 1_000_000  # safety valve; a quiescent pump exits long before
+_PUMP_BOUND = 10_000  # safety valve; an 8 MiB echo polls the NAT at most 10 times per pump
+
+
+def pump(usernet: UserNetStack, device: MacDevice, guest: GuestStack) -> None:
+    """Pump NAT output and guest interrupt work until quiescent.
+
+    Raises RuntimeError if frames still move after ``_PUMP_BOUND`` rounds.
+    """
+    for _ in range(_PUMP_BOUND):
+        frames = usernet.poll_frames_out()
+        if frames:
+            for frame in frames:
+                device.receive(frame)
+                if device.irq_asserted:
+                    guest.stack_step()
+            continue
+        if device.irq_asserted:
+            guest.stack_step()
+            continue
+        return
+    raise RuntimeError("pump did not quiesce")
 
 
 @dataclass
@@ -68,19 +88,7 @@ class Instance:
         self.usernet.guest_frame_in(frame)
 
     def _settle(self) -> None:
-        """Pump NAT output and guest interrupt work until quiescent."""
-        for _ in range(_SETTLE_BOUND):
-            frames = self.usernet.poll_frames_out()
-            if frames:
-                for frame in frames:
-                    self.device.receive(frame)
-                    if self.device.irq_asserted:
-                        self.guest.stack_step()
-                continue
-            if self.device.irq_asserted:
-                self.guest.stack_step()
-                continue
-            return
+        pump(self.usernet, self.device, self.guest)
 
     def start(self) -> None:
         """Bind forwarded listeners, start the loop, boot the guest."""

@@ -8,20 +8,15 @@ opened itself, and flows entering through a forward rule.
 
 The TCP spoken toward the guest is synthesized here as a terminating
 proxy: host-side byte streams are re-segmented with locally generated
-sequence numbers (fixed 8 KiB window, 500 ms retransmit timer with 5
-retries, no SACK, no congestion control).
-
-ACKs ride on data, at this end and at the guest's: after a segment
-arrives, queued data is sent first, and a bare ACK follows only if the
-segment was out of order or a duplicate, or if no segment sent since has
-carried the new ``rcv_nxt`` (RFC 9293 section 3.8.6.3, with no timer).
+sequence numbers by the engine in ``tcp.py``, to which a flow adds a
+500 ms retransmit timer with 5 retries.
 
 Threading: all guest-facing state is owned by the instance event loop.
 Listener/reader/writer threads touch sockets only and post closures onto
 the loop.  A reader calls ``recv`` only while the bytes it has posted and
-the loop has not yet taken, plus the flow's unsent ``send_buf``, stay below
-``SEND_BUF_HIGH``; so a host that sends faster than the guest ACKs waits in
-its own socket buffer, not in this process.
+the loop has not yet taken, plus the flow's unacknowledged ``send_buf``,
+stay below ``SEND_BUF_HIGH``; so a host that sends faster than the guest
+ACKs waits in its own socket buffer, not in this process.
 """
 
 from __future__ import annotations
@@ -35,6 +30,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .eventloop import EventLoop
+from .tcp import MSS, TcpEndpoint, seq_add
+from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -70,18 +67,6 @@ from .wire import (
     ip_to_bytes,
     ip_to_str,
 )
-
-_SEQ_MASK = 0xFFFFFFFF
-
-
-def seq_add(a: int, n: int) -> int:
-    return (a + n) & _SEQ_MASK
-
-
-def seq_leq(a: int, b: int) -> bool:
-    """a <= b in 32-bit sequence space."""
-    return (b - a) & _SEQ_MASK < 0x80000000
-
 
 class NicConfigError(ValueError):
     pass
@@ -201,15 +186,13 @@ def _close_socket(sock: socket.socket) -> None:
     except OSError:
         pass
 
-MSS = 1460
-GUEST_WINDOW = 8192
 RETRANSMIT_S = 0.5
 MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
-SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet sent, before it stops reading
+SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet acknowledged, before it stops reading
 
 
-class NatFlow:
+class NatFlow(TcpEndpoint):
     """One relayed TCP connection between a host socket and the guest."""
 
     def __init__(
@@ -219,84 +202,67 @@ class NatFlow:
         guest_port: int,
         remote_ip: bytes,
         remote_port: int,
-        direction: str,
     ):
+        super().__init__(remote_port, guest_port, stack.rng.getrandbits(32), stack.drop_counts)
         self.stack = stack
         self.guest_ip = guest_ip
-        self.guest_port = guest_port
         self.remote_ip = remote_ip  # the address we speak to the guest from
-        self.remote_port = remote_port
-        self.direction = direction  # "inbound" | "outbound"
         self.sock: socket.socket | None = None
         self.writer_q: queue.Queue = queue.Queue()
+        self._deliver = self.writer_q.put  # the engine's hook for bytes received in order
         # Read backpressure.  Each counter has one writer: the reader thread
         # adds what it posts, the loop adds what host_data took in.
         self.host_posted = 0
         self.host_taken = 0
         self.host_readable = threading.Event()  # set by the loop to wake the reader
-        self.state = "new"
-        self.iss = stack.rng.getrandbits(32)
-        self.snd_nxt = self.iss
-        self.snd_una = self.iss
-        self.rcv_nxt = 0
-        self.last_ack_sent = 0  # ack field of the newest segment sent
-        self.peer_window = GUEST_WINDOW
-        self.send_buf = bytearray()
-        self.unacked: list[tuple[int, bytes, bool, bool]] = []  # (seq, payload, syn, fin)
         self.tries = 0
-        self.host_eof = False
-        self.guest_fin = False
-        self.fin_sent = False
-        self.fin_acked = False
+        self.progress_at = 0.0  # monotonic time an ACK last acknowledged something new
         self._retransmit_timer = None
         self._handshake_timer = None
 
     @property
     def key(self) -> tuple:
-        return (self.guest_ip, self.guest_port, self.remote_ip, self.remote_port)
+        return (self.guest_ip, self.peer_port, self.remote_ip, self.local_port)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start_inbound(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.state = "syn_sent"
+        self.active_open()  # first: a reader that finds the flow closed reads without limit
         self.stack._spawn_socket_io(self)
-        self._transmit(syn=True, track=True)
         self._arm_retransmit()
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
         )
 
     def start_outbound(self, syn: TcpSegment) -> None:
-        self.rcv_nxt = seq_add(syn.seq, 1)
-        self.peer_window = syn.window
+        self.rcv_nxt = seq_add(syn.seq, 1)  # so a refused connect is answered with RST-ACK
         self.state = "connecting"
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
         )
         threading.Thread(
-            target=self._connect_host, name="nat-connect", daemon=True
+            target=self._connect_host, args=(syn,), name="nat-connect", daemon=True
         ).start()
 
-    def _connect_host(self) -> None:
+    def _connect_host(self, syn: TcpSegment) -> None:
         try:
             sock = socket.create_connection(
-                (ip_to_str(self.remote_ip), self.remote_port), timeout=HANDSHAKE_TIMEOUT_S
+                (ip_to_str(self.remote_ip), self.local_port), timeout=HANDSHAKE_TIMEOUT_S
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             self.stack.loop.post(self._connect_failed)
             return
-        self.stack.loop.post(lambda: self._connect_done(sock))
+        self.stack.loop.post(lambda: self._connect_done(sock, syn))
 
-    def _connect_done(self, sock: socket.socket) -> None:
+    def _connect_done(self, sock: socket.socket, syn: TcpSegment) -> None:
         if self.state != "connecting":
             sock.close()
             return
         self.sock = sock
         self.stack._spawn_socket_io(self)
-        self.state = "syn_rcvd"
-        self._transmit(syn=True, ack_flag=True, track=True)
+        self.passive_open(syn)
         self._arm_retransmit()
 
     def _connect_failed(self) -> None:
@@ -310,114 +276,64 @@ class NatFlow:
         if self.state in ("syn_sent", "syn_rcvd", "connecting"):
             self._teardown()
 
-    # -- guest-side segments -------------------------------------------------
+    # -- the engine's hooks ------------------------------------------------------
 
-    def segment_from_guest(self, seg: TcpSegment) -> None:
-        if self.state == "closed":
-            return
-        if seg.rst:
-            self._teardown()
-            return
-        if self.state == "syn_sent":
-            if seg.syn and seg.ack_flag and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.rcv_nxt = seq_add(seg.seq, 1)
-                self.peer_window = seg.window
-                self.unacked.clear()
-                self.tries = 0
-                self._establish()
-                self._transmit(ack_flag=True)
-                self._pump()
-            return
-        if self.state == "syn_rcvd":
-            if seg.ack_flag and not seg.syn and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.unacked.clear()
-                self.tries = 0
-                self._establish()
-                if seg.payload or seg.fin:
-                    self._established_segment(seg)
-                else:
-                    self._pump()
-            return
-        if self.state in ("established", "fin_wait"):
-            self._established_segment(seg)
+    def _emit(self, seg: TcpSegment) -> None:
+        self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
 
-    def _establish(self) -> None:
-        self.state = "established"
+    def _deliver_eof(self) -> None:
+        self.writer_q.put(_EOF)
+
+    def _on_establish(self) -> None:
         if self._handshake_timer is not None:
             self._handshake_timer.cancel()
             self._handshake_timer = None
+        self.tries = 0
+        self.progress_at = time.monotonic()
 
-    def _established_segment(self, seg: TcpSegment) -> None:
-        if seg.ack_flag:
-            self._process_ack(seg.ack, seg.window)
-        reack = False  # out of order or duplicate: re-ack what we have
-        if seg.payload:
-            if seg.seq == self.rcv_nxt:
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(seg.payload))
-                self.writer_q.put(seg.payload)
-            else:
-                reack = True
-        if seg.fin:
-            if not self.guest_fin and seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
-                self.guest_fin = True
-                self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-                self.writer_q.put(_EOF)
-            else:
-                reack = True
-        self._pump()
-        # queued host data sent by _pump already carries the ack
-        if reack or self.last_ack_sent != self.rcv_nxt:
-            self._transmit(ack_flag=True)
-        self._maybe_finish()
+    def _on_finish(self) -> None:
+        self._teardown()
 
-    def _process_ack(self, ack: int, window: int) -> None:
-        self.peer_window = window
-        inflight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
-        advance = (ack - self.snd_una) & _SEQ_MASK
-        if 0 < advance <= inflight:
-            self.snd_una = ack
-            remaining = []
-            for seq, payload, syn, fin in self.unacked:
-                end = seq_add(seq, len(payload) + (1 if syn or fin else 0))
-                if seq_leq(end, self.snd_una):
-                    if fin:
-                        self.fin_acked = True
-                else:
-                    remaining.append((seq, payload, syn, fin))
-            self.unacked = remaining
-            self.tries = 0
+    def _on_reset(self) -> None:
+        self._teardown()
+
+    def _process_ack(self, ack: int, window: int) -> bool:
+        if not super()._process_ack(ack, window):
+            return False
+        self.tries = 0
+        self.progress_at = time.monotonic()  # restarts the retransmit timer, lazily
+        return True
+
+    def _pump(self) -> None:
+        super()._pump()
+        self._arm_retransmit()
+        self._resume_reader()
 
     # -- host-side events ----------------------------------------------------
 
     def host_data(self, data: bytes) -> None:
         if self.state != "closed":
             self.send_buf += data
-            if self.state in ("established", "fin_wait"):
-                self._pump()
         self.host_taken += len(data)
-        self._resume_reader()
+        self._pump()  # which also wakes the reader
 
     def may_read_host(self) -> bool:
-        """Whether the reader may recv(): host bytes posted or unsent stay
-        under SEND_BUF_HIGH.  Called on the reader thread as well."""
+        """Whether the reader may recv(): host bytes posted or unacknowledged
+        stay under SEND_BUF_HIGH.  Called on the reader thread as well."""
         if self.state == "closed" or self.stack._stopping:
             return True  # let the reader run into the closed socket and exit
         backlog = self.host_posted - self.host_taken + len(self.send_buf)
         return backlog < SEND_BUF_HIGH
 
     def _resume_reader(self) -> None:
-        if self.may_read_host():
+        # The reader checks again after each clear(), so a set event needs
+        # no second set(), which costs a lock and a notify.
+        if not self.host_readable.is_set() and self.may_read_host():
             self.host_readable.set()
 
     def host_eof_seen(self) -> None:
-        if self.state == "closed":
-            return
-        self.host_eof = True
-        if self.state in ("established", "fin_wait"):
-            self._pump()
-            self._maybe_finish()
+        if self.state != "closed":
+            self.close()
 
     def host_error(self) -> None:
         if self.state == "closed":
@@ -425,84 +341,36 @@ class NatFlow:
         self._transmit(rst=True, ack_flag=True)
         self._teardown()
 
-    # -- output --------------------------------------------------------------
-
-    def _pump(self) -> None:
-        while self.send_buf:
-            inflight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
-            room = self.peer_window - inflight
-            if room <= 0:
-                break
-            chunk = bytes(self.send_buf[: min(MSS, room)])
-            del self.send_buf[: len(chunk)]
-            self._transmit(payload=chunk, ack_flag=True, psh=not self.send_buf, track=True)
-        if (
-            self.host_eof
-            and not self.send_buf
-            and not self.fin_sent
-            and self.state == "established"
-        ):
-            self.fin_sent = True
-            self.state = "fin_wait"
-            self._transmit(fin=True, ack_flag=True, track=True)
-        self._arm_retransmit()
-        self._resume_reader()
-
-    def _transmit(
-        self,
-        payload: bytes = b"",
-        syn: bool = False,
-        fin: bool = False,
-        rst: bool = False,
-        ack_flag: bool = False,
-        psh: bool = False,
-        track: bool = False,
-    ) -> None:
-        seg = TcpSegment(
-            src_port=self.remote_port,
-            dst_port=self.guest_port,
-            seq=self.snd_nxt,
-            ack=self.rcv_nxt if ack_flag else 0,
-            syn=syn,
-            ack_flag=ack_flag,
-            fin=fin,
-            rst=rst,
-            psh=psh,
-            window=GUEST_WINDOW,
-            payload=payload,
-        )
-        self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
-        if ack_flag:
-            self.last_ack_sent = self.rcv_nxt
-        if track:
-            self.unacked.append((self.snd_nxt, payload, syn, fin))
-        self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if syn or fin else 0))
+    # -- retransmission (RFC 6298, with a fixed timeout) ---------------------------
 
     def _retransmit_one(self) -> None:
-        seq, payload, syn, fin = self.unacked[0]
-        ack_flag = not (syn and self.direction == "inbound")  # a bare SYN carries no ack
-        seg = TcpSegment(
-            src_port=self.remote_port,
-            dst_port=self.guest_port,
-            seq=seq,
-            ack=self.rcv_nxt if ack_flag else 0,
-            syn=syn,
-            ack_flag=ack_flag,
-            fin=fin,
-            window=GUEST_WINDOW,
-            payload=payload,
-        )
-        self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
+        """Resend the SYN, else up to one MSS of data from snd_una, else the FIN."""
+        if self.state in ("syn_sent", "syn_rcvd"):
+            self._transmit(syn=True, ack_flag=self.state == "syn_rcvd", seq=self.iss)
+            return
+        flight = min((self.snd_nxt - self.snd_una) & 0xFFFFFFFF, len(self.send_buf))
+        if flight:
+            self._transmit(bytes(self.send_buf[: min(MSS, flight)]), ack_flag=True, seq=self.snd_una)
+        else:
+            self._transmit(fin=True, ack_flag=True, seq=seq_add(self.snd_nxt, -1))
 
     def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is None and self.unacked and self.state != "closed":
+        if (
+            self._retransmit_timer is None
+            and self.snd_una != self.snd_nxt
+            and self.state != "closed"
+        ):
             self._retransmit_timer = self.stack.loop.call_later(
                 RETRANSMIT_S, self._retransmit_tick
             )
 
     def _retransmit_tick(self) -> None:
         self._retransmit_timer = None
-        if self.state == "closed" or not self.unacked:
+        if self.state == "closed" or self.snd_una == self.snd_nxt:
+            return
+        early = self.progress_at + RETRANSMIT_S - time.monotonic()
+        if early > 0:  # an ACK made progress since the timer was armed
+            self._retransmit_timer = self.stack.loop.call_later(early, self._retransmit_tick)
             return
         self.tries += 1
         if self.tries > MAX_RETRIES:
@@ -513,10 +381,6 @@ class NatFlow:
         self._arm_retransmit()
 
     # -- teardown --------------------------------------------------------------
-
-    def _maybe_finish(self) -> None:
-        if self.guest_fin and self.fin_sent and self.fin_acked:
-            self._teardown()
 
     def _teardown(self) -> None:
         if self.state == "closed":
@@ -693,7 +557,7 @@ class UserNetStack:
         key = (pkt.src_ip, seg.src_port, pkt.dst_ip, seg.dst_port)
         flow = self._flows.get(key)
         if flow is not None:
-            flow.segment_from_guest(seg)
+            flow.segment_in(seg)
             return
         if seg.syn and not seg.ack_flag and not self.subnet.contains(pkt.dst_ip):
             flow = NatFlow(
@@ -702,7 +566,6 @@ class UserNetStack:
                 guest_port=seg.src_port,
                 remote_ip=pkt.dst_ip,
                 remote_port=seg.dst_port,
-                direction="outbound",
             )
             self._flows[key] = flow
             flow.start_outbound(seg)
@@ -811,7 +674,6 @@ class UserNetStack:
             guest_port=rule.guest_port,
             remote_ip=self.subnet.gateway_ip,
             remote_port=remote_port,
-            direction="inbound",
         )
         self._flows[flow.key] = flow
         flow.start_inbound(sock)

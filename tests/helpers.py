@@ -7,8 +7,8 @@ import threading
 import time
 
 from emunet.guest import GuestConfig
-from emunet.harness import Instance
-from emunet.usernet import ForwardRule, NicConfig
+from emunet.harness import Instance, pump
+from emunet.usernet import ForwardRule, NicConfig, UserNetStack
 
 
 def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
@@ -88,7 +88,6 @@ class SyncPair:
     def __init__(self, mode: str = "http", trace=None, forwards=None):
         from emunet.device import GuestMemory, MacDevice
         from emunet.guest import GuestConfig, GuestStack
-        from emunet.usernet import UserNetStack
         from emunet.wire import decode_frame
 
         self.loop = ManualLoop()
@@ -101,6 +100,7 @@ class SyncPair:
         self.usernet = UserNetStack(
             NicConfig(model="open_eth", id="sync", forwards=forwards or []), self.loop
         )
+        self.usernet.poll_frames_out = self._poll_and_record
         self.guest = GuestStack(self.device, self.memory, GuestConfig(mode=mode), log=self.log)
         self._decode_frame = decode_frame
 
@@ -110,21 +110,13 @@ class SyncPair:
         self.guest_tx.append(frame)
         self.usernet.guest_frame_in(frame)
 
+    def _poll_and_record(self) -> list:
+        frames = UserNetStack.poll_frames_out(self.usernet)
+        self.usernet_tx.extend(frames)
+        return frames
+
     def pump(self) -> None:
-        for _ in range(10000):
-            frames = self.usernet.poll_frames_out()
-            if frames:
-                for frame in frames:
-                    self.usernet_tx.append(frame)
-                    self.device.receive(frame)
-                    if self.device.irq_asserted:
-                        self.guest.stack_step()
-                continue
-            if self.device.irq_asserted:
-                self.guest.stack_step()
-                continue
-            return
-        raise AssertionError("pump did not quiesce")
+        pump(self.usernet, self.device, self.guest)
 
     def boot(self) -> None:
         self.device.reset()

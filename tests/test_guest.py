@@ -15,7 +15,7 @@ from emunet.guest import (
     TX_SLOTS,
     http_handle,
 )
-from emunet.usernet import seq_add
+from emunet.tcp import seq_add
 from emunet.wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -400,3 +400,19 @@ class TestOutOfOrder:
         assert pair.guest.drop_counts == {"tcp_out_of_order": 1}
         assert conn.rcv_nxt == rcv_nxt
         assert pair.guest.app_data_events == data_events
+
+
+class TestLayering:
+    def test_guest_does_not_import_the_nat(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import emunet
+
+        src = str(Path(emunet.__file__).parents[1])
+        probe = "import sys, emunet.guest; sys.exit('emunet.usernet' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env={"PYTHONPATH": src}, timeout=60
+        )
+        assert result.returncode == 0, "the emulated device depends on the host NAT"

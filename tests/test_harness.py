@@ -389,3 +389,33 @@ class TestImageBoot:
 
         with pytest.raises(flashimg.FlashError):
             instance_from_image(b"\xff" * flashimg.DEFAULT_FLASH_SIZE, NicConfig(model="open_eth"))
+
+
+class TestPump:
+    def test_pump_that_never_quiesces_raises_into_the_loop_errors(self, monkeypatch):
+        from emunet import harness
+        from emunet.eventloop import EventLoop
+
+        class Net:
+            def poll_frames_out(self):
+                return []
+
+        class Device:
+            irq_asserted = True  # a line that is never cleared
+
+        class Guest:
+            steps = 0
+
+            def stack_step(self):
+                Guest.steps += 1
+
+        monkeypatch.setattr(harness, "_PUMP_BOUND", 50)
+        with pytest.raises(RuntimeError, match="quiesce"):
+            harness.pump(Net(), Device(), Guest())
+        assert Guest.steps == 50
+        loop = EventLoop(idle_hook=lambda: harness.pump(Net(), Device(), Guest()))
+        loop.start()
+        loop.post(lambda: None)
+        loop.stop()
+        loop.join(timeout=5)
+        assert loop.errors == 1  # counted, as an Instance's loop would count it

@@ -1,0 +1,153 @@
+"""The shared TCP engine, driven segment by segment at both ends of the wire.
+
+Each test runs against the NAT's flow toward the guest and against the
+guest's own connection: the same ``TcpEndpoint`` code serves both.
+"""
+
+import pytest
+
+from emunet.device import GuestMemory, MacDevice
+from emunet.guest import GuestStack, GuestTcpConn
+from emunet.tcp import seq_add
+from emunet.usernet import _EOF, NatFlow, NicConfig, UserNetStack
+from emunet.wire import TcpSegment, ip_to_bytes
+from helpers import ManualLoop
+
+PEER_ISS = 7000  # the far end's initial sequence number
+
+
+class _Recorder:
+    """A guest application that records what its connection delivers."""
+
+    def __init__(self, _stack, _conn):
+        self.events = []
+
+    def on_connect(self):
+        pass
+
+    def on_data(self, data):
+        self.events.append(("data", bytes(data)))
+
+    def on_eof(self):
+        self.events.append(("eof",))
+
+    def on_close(self):
+        pass
+
+
+class _End:
+    """One established endpoint, the segments it sent, and the stack that owns it."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.sent = []
+        self.peer_nxt = seq_add(PEER_ISS, 1)
+        if kind == "nat":  # the NAT opens toward a listening guest
+            self.stack = UserNetStack(NicConfig(model="open_eth"), ManualLoop())
+            self.stack._spawn_socket_io = lambda flow: None  # no host socket here
+            self.ep = NatFlow(
+                self.stack, guest_ip=ip_to_bytes("10.0.2.15"), guest_port=80,
+                remote_ip=ip_to_bytes("10.0.2.2"), remote_port=49152,
+            )
+            self.stack._flows[self.ep.key] = self.ep
+            self.ep._emit = self.sent.append
+            self.ep.start_inbound(None)
+            self.peer_in(PEER_ISS, syn=True)
+        else:  # the guest accepts a connection
+            memory = GuestMemory()
+            self.stack = GuestStack(MacDevice(memory), memory, log=lambda _line: None)
+            self.ep = GuestTcpConn(self.stack, 80, ip_to_bytes("10.0.2.2"), 49152, _Recorder)
+            self.stack.conns[self.ep.key] = self.ep
+            self.ep._emit = self.sent.append
+            self.ep.passive_open(TcpSegment(src_port=49152, dst_port=80, seq=PEER_ISS, ack=0, syn=True))
+            self.peer_in(self.peer_nxt)
+        assert self.ep.state == "established"
+        self.sent.clear()
+
+    def peer_in(self, seq, ack=None, **fields):
+        """A segment from the far end; by default it acks all we sent."""
+        self.ep.segment_in(
+            TcpSegment(
+                src_port=self.ep.peer_port, dst_port=self.ep.local_port, seq=seq,
+                ack=self.ep.snd_nxt if ack is None else ack, ack_flag=True, window=8192,
+                **fields,
+            )
+        )
+
+    def delivered(self):
+        if self.kind == "guest":
+            events, self.ep.app.events = self.ep.app.events, []
+            return events
+        events = []
+        while not self.ep.writer_q.empty():
+            item = self.ep.writer_q.get()
+            events.append(("eof",) if item is _EOF else ("data", item))
+        return events
+
+    def close_local(self):
+        if self.kind == "guest":
+            self.ep.close()
+        else:
+            self.ep.host_eof_seen()
+
+    def registered(self):
+        table = self.stack._flows if self.kind == "nat" else self.stack.conns
+        return self.ep.key in table
+
+
+@pytest.fixture(params=["nat", "guest"])
+def end(request):
+    return _End(request.param)
+
+
+def _bare_ack(seg):
+    return seg.ack_flag and not seg.payload and not (seg.syn or seg.fin or seg.rst)
+
+
+@pytest.mark.parametrize("offset", [-3, 100], ids=["duplicate", "out_of_order"])
+def test_unexpected_segment_gets_one_bare_ack_and_is_counted(end, offset):
+    end.peer_in(end.peer_nxt, payload=b"abc")
+    assert end.delivered() == [("data", b"abc")]
+    rcv_nxt = end.ep.rcv_nxt
+    end.sent.clear()
+    end.peer_in(seq_add(rcv_nxt, offset), payload=b"xyz")
+    assert len(end.sent) == 1 and _bare_ack(end.sent[0])
+    assert end.sent[0].ack == rcv_nxt == end.ep.rcv_nxt
+    assert end.delivered() == []
+    assert end.stack.drop_counts["tcp_out_of_order"] == 1
+
+
+def test_duplicate_fin_is_acked_again(end):
+    end.peer_in(end.peer_nxt, fin=True)
+    assert end.delivered() == [("eof",)]
+    fin_ack = seq_add(end.peer_nxt, 1)
+    assert [seg.ack for seg in end.sent] == [fin_ack]
+    end.sent.clear()
+    end.peer_in(end.peer_nxt, fin=True)
+    assert len(end.sent) == 1 and _bare_ack(end.sent[0]) and end.sent[0].ack == fin_ack
+    assert end.delivered() == []  # the end of stream is delivered once
+    assert end.stack.drop_counts["tcp_out_of_order"] == 0
+
+
+def test_fin_carrying_data_closes_in_order(end):
+    end.peer_in(end.peer_nxt, payload=b"last words", fin=True)
+    assert end.delivered() == [("data", b"last words"), ("eof",)]
+    assert [seg.ack for seg in end.sent] == [seq_add(end.peer_nxt, len(b"last words") + 1)]
+    end.sent.clear()
+    end.close_local()
+    (fin,) = end.sent
+    assert fin.fin and fin.ack_flag and not fin.payload
+    assert end.ep.state == "fin_wait" and end.registered()
+    end.peer_in(seq=seq_add(end.peer_nxt, len(b"last words") + 1), ack=end.ep.snd_nxt)
+    assert end.ep.state == "closed"
+    assert not end.registered()
+
+
+def test_ack_frees_the_send_buffer_from_the_front(end):
+    end.ep.send(bytes(range(200)) * 20)  # 4,000 bytes: three segments
+    assert [len(seg.payload) for seg in end.sent] == [1460, 1460, 1080]
+    assert len(end.ep.send_buf) == 4000  # in flight, so still held
+    end.peer_in(end.peer_nxt, ack=seq_add(end.ep.snd_una, 1500))
+    assert end.ep.send_buf == (bytes(range(200)) * 20)[1500:]
+    end.peer_in(end.peer_nxt)
+    assert end.ep.send_buf == b"" and end.ep.snd_una == end.ep.snd_nxt

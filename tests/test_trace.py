@@ -72,7 +72,7 @@ class TestEmit:
             return None
 
         config = TraceConfig(("something_else*",), io.StringIO())
-        iterations = 1_000_000
+        iterations = 200_000
 
         def loop(target):
             start = time.perf_counter()
@@ -80,9 +80,14 @@ class TestEmit:
                 target("open_eth_reg_read", lambda: f"i={i}")
             return time.perf_counter() - start
 
+        # The machine's speed can change between blocks of timing, so nop and
+        # emit blocks alternate and each side keeps its fastest block.
         loop(nop)  # warm up
-        baseline = min(loop(nop), loop(nop))
-        measured = min(loop(config.emit), loop(config.emit))
+        nop_times, emit_times = [], []
+        for _ in range(5):
+            nop_times.append(loop(nop))
+            emit_times.append(loop(config.emit))
+        baseline, measured = min(nop_times), min(emit_times)
         assert config.format_calls == 0
         assert measured <= 2.0 * baseline, f"emit {measured:.3f}s vs nop {baseline:.3f}s"
 

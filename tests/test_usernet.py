@@ -292,7 +292,6 @@ class TestFlowTimers:
             guest_port=80,
             remote_ip=ip_to_bytes("10.0.2.2"),
             remote_port=49152,
-            direction="inbound",
         )
         stack._flows[flow.key] = flow
         flow.start_inbound(near)
@@ -324,6 +323,98 @@ class TestFlowTimers:
         assert rst_seen
         assert syn_count == 6  # the original plus five retries
         assert far.recv(100) == b""  # host socket closed
+        far.close()
+
+    def _established_flow(self):
+        """A flow past its handshake, with 3,000 host bytes sent and none acked."""
+        stack, flow, far = self._flow_with_socketpair()
+        far.settimeout(5)
+        flow.segment_in(
+            TcpSegment(
+                src_port=80, dst_port=49152, seq=7000, ack=(flow.iss + 1) & 0xFFFFFFFF,
+                syn=True, ack_flag=True, window=8192,
+            )
+        )
+        flow.host_data((bytes(range(256)) * 12)[:3000])
+        segs = self._tcp_frames(stack)
+        assert [len(seg.payload) for seg in segs] == [0, 0, 1460, 1460, 80]  # SYN, ACK, data
+        return stack, flow, far
+
+    def _guest_ack(self, flow, ack):
+        flow.segment_in(
+            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=ack, ack_flag=True,
+                       window=8192)
+        )
+
+    def test_unacked_data_resent_from_snd_una_with_current_ack(self):
+        from emunet.usernet import MSS, RETRANSMIT_S
+
+        stack, flow, far = self._established_flow()
+        self._guest_ack(flow, (flow.snd_una + 1000) & 0xFFFFFFFF)  # part of the first segment
+        assert len(flow.send_buf) == 2000  # the buffer starts at snd_una
+        flow.progress_at -= RETRANSMIT_S  # as if that ACK came one timeout ago
+        assert stack.loop.fire_timers() == 1
+        (seg,) = self._tcp_frames(stack)
+        assert seg.seq == flow.snd_una and seg.ack == flow.rcv_nxt and seg.ack_flag
+        assert seg.payload == bytes(flow.send_buf[:MSS])
+        assert not (seg.syn or seg.fin or seg.rst)
+        assert flow.tries == 1
+        flow._teardown()
+        far.close()
+
+    def test_fin_alone_resent(self):
+        from emunet.usernet import RETRANSMIT_S
+
+        stack, flow, far = self._established_flow()
+        self._guest_ack(flow, flow.snd_nxt)  # every data byte
+        assert flow.send_buf == b""
+        flow.host_eof_seen()
+        (fin,) = self._tcp_frames(stack)
+        assert fin.fin
+        flow.progress_at -= RETRANSMIT_S
+        stack.loop.fire_timers()
+        (again,) = self._tcp_frames(stack)
+        assert again.fin and not again.payload and again.ack_flag
+        assert again.seq == fin.seq == (flow.snd_nxt - 1) & 0xFFFFFFFF
+        self._guest_ack(flow, flow.snd_nxt)
+        assert flow.fin_acked
+        flow._teardown()
+        far.close()
+
+    def test_unacked_data_reset_after_max_retries(self):
+        from emunet.usernet import MAX_RETRIES, RETRANSMIT_S
+
+        stack, flow, far = self._established_flow()
+        flow.progress_at -= RETRANSMIT_S
+        resent = 0
+        for _ in range(MAX_RETRIES + 2):
+            stack.loop.fire_timers()
+            new = self._tcp_frames(stack)
+            if flow.state == "closed":
+                assert [seg.rst for seg in new] == [True]
+                break
+            assert len(new) == 1 and new[0].seq == flow.snd_una and len(new[0].payload) == 1460
+            resent += 1
+        assert resent == MAX_RETRIES
+        assert not stack._flows
+        assert far.recv(100) == b""  # host socket closed
+        far.close()
+
+    def test_tick_just_after_progress_rearms_instead_of_resending(self):
+        from emunet.usernet import RETRANSMIT_S
+
+        stack, flow, far = self._established_flow()
+        self._guest_ack(flow, (flow.snd_una + 1460) & 0xFFFFFFFF)
+        self._tcp_frames(stack)  # the ACK may have let more data out
+        assert stack.loop.fire_timers() == 1  # the timer armed when the data went out
+        assert self._tcp_frames(stack) == []  # nothing resent
+        assert flow.tries == 0
+        (rearmed,) = [t for t in stack.loop.timers if not t.cancelled]
+        assert 0 < rearmed.deadline <= RETRANSMIT_S  # ManualLoop keeps the delay here
+        flow.progress_at -= RETRANSMIT_S
+        stack.loop.fire_timers()
+        assert len(self._tcp_frames(stack)) == 1  # the re-armed timer does resend
+        flow._teardown()
         far.close()
 
     def test_handshake_timeout_closes_host_socket(self):
@@ -390,7 +481,6 @@ class TestHostReadBackpressure:
             guest_port=80,
             remote_ip=ip_to_bytes("10.0.2.2"),
             remote_port=49152,
-            direction="inbound",
         )
         stack._flows[flow.key] = flow
         flow.sock = near
@@ -432,6 +522,31 @@ class TestHostReadBackpressure:
             time.sleep(0.001)
         assert not writer.is_alive()
         assert not any(t.is_alive() for t in io_threads)  # no reader left waiting
+
+
+    def test_reader_starts_only_once_the_bound_applies(self):
+        from emunet.usernet import SEND_BUF_HIGH, NatFlow
+
+        stack = make_stack()
+        stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
+        flow = NatFlow(
+            stack,
+            guest_ip=ip_to_bytes("10.0.2.15"),
+            guest_port=80,
+            remote_ip=ip_to_bytes("10.0.2.2"),
+            remote_port=49152,
+        )
+        stack._flows[flow.key] = flow
+        bounded = []
+
+        def spawn(flow):  # instead of the reader and writer threads
+            flow.host_posted = SEND_BUF_HIGH
+            bounded.append(not flow.may_read_host())
+            flow.host_posted = 0
+
+        stack._spawn_socket_io = spawn
+        flow.start_inbound(None)
+        assert bounded == [True]  # a closed flow would let the reader read without limit
 
 
 class TestListenerLifecycle:
