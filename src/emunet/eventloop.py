@@ -1,19 +1,22 @@
-"""Single-thread event loop with timers.
+"""Single-thread event loop with timers and socket readiness.
 
 One loop serializes all access to an emulated instance: device, guest and
-the guest-facing NAT state.  Other threads interact only by posting
-callables.  An optional idle hook runs after every executed callback; the
-harness uses it to pump frames between the NAT stack, device and guest
-until the instance is quiescent.
+the NAT stack with its host sockets, which the loop waits on through
+``selectors``.  Other threads interact only by posting callables, which
+wake the loop through a socket pair.  An optional idle hook runs after
+every executed callback; the harness uses it to pump frames between the
+NAT stack, device and guest until the instance is quiescent.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
+import selectors
+import socket
 import threading
 import time
 import traceback
+from collections import deque
 from typing import Callable
 
 _STOP = object()
@@ -37,24 +40,52 @@ class Timer:
 
 class EventLoop:
     def __init__(self, idle_hook: Callable[[], None] | None = None):
-        self._queue: queue.Queue = queue.Queue()
+        self._posted: deque = deque()
         self._timers: list[Timer] = []
+        self._selector = selectors.DefaultSelector()
+        self._wake_in = self._wake_out = None  # a socket pair, made by start()
         self._idle_hook = idle_hook
         self._thread: threading.Thread | None = None
         self.errors = 0
 
     def post(self, fn: Callable[[], None]) -> None:
-        self._queue.put(fn)
+        """Run ``fn`` on the loop; the one method other threads may call."""
+        self._posted.append(fn)
+        self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_out.send(b"\0")
+        except (AttributeError, OSError):
+            pass  # not started; woken already, the pair being full; or stopped
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
         timer = Timer(time.monotonic() + delay, fn)
-        self._queue.put(("timer", timer))
+        heapq.heappush(self._timers, timer)
         return timer
 
+    def watch(self, sock: socket.socket, events: int, fn: Callable[[int], None] | None = None) -> None:
+        """Call ``fn(ready)`` while ``sock`` is ready for ``events``, a mask of
+        ``selectors.EVENT_READ`` and ``EVENT_WRITE``; 0 stops watching."""
+        try:
+            if events:
+                self._selector.modify(sock, events, fn)
+            else:
+                self._selector.unregister(sock)
+        except KeyError:  # not watched yet
+            if events:
+                self._selector.register(sock, events, fn)
+
     def stop(self) -> None:
-        self._queue.put(_STOP)
+        self._posted.append(_STOP)  # not through post(), which a tracer may wrap
+        self._wake()
 
     def start(self, name: str = "eventloop") -> None:
+        self._wake_in, self._wake_out = socket.socketpair()
+        self._wake_in.setblocking(False)
+        self._wake_out.setblocking(False)
+        self._selector.register(self._wake_in, selectors.EVENT_READ)
+        self._wake()  # for what was posted before
         self._thread = threading.Thread(target=self.run, name=name, daemon=True)
         self._thread.start()
 
@@ -63,29 +94,31 @@ class EventLoop:
             self._thread.join(timeout)
 
     def run(self) -> None:
+        posted, timers = self._posted, self._timers
         while True:
-            timeout = None
-            if self._timers:
-                timeout = max(0.0, self._timers[0].deadline - time.monotonic())
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            if item is _STOP:
-                return
-            if isinstance(item, tuple) and item[0] == "timer":
-                heapq.heappush(self._timers, item[1])
-            elif item is not None:
-                self._run(item)
+            timeout = max(0.0, timers[0].deadline - time.monotonic()) if timers else None
+            for key, ready in self._selector.select(timeout):
+                if key.data is None:
+                    self._wake_in.recv(4096)
+                else:
+                    self._run(key.data, ready)
+            while posted:
+                fn = posted.popleft()
+                if fn is _STOP:
+                    self._selector.close()
+                    self._wake_in.close()
+                    self._wake_out.close()
+                    return
+                self._run(fn)
             now = time.monotonic()
-            while self._timers and self._timers[0].deadline <= now:
-                timer = heapq.heappop(self._timers)
+            while timers and timers[0].deadline <= now:
+                timer = heapq.heappop(timers)
                 if not timer.cancelled:
                     self._run(timer.fn)
 
-    def _run(self, fn: Callable[[], None]) -> None:
+    def _run(self, fn: Callable, *args) -> None:
         try:
-            fn()
+            fn(*args)
             if self._idle_hook is not None:
                 self._idle_hook()
         except Exception:

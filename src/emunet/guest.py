@@ -37,6 +37,7 @@ from .wire import (
     DecodeError,
     DhcpMessage,
     EthernetFrame,
+    HttpBodyTooLarge,
     HttpParseError,
     HttpRequest,
     HttpRequestParser,
@@ -71,6 +72,7 @@ RX_BUF_BASE = 0x8000
 
 BROADCAST_IP = b"\xff\xff\xff\xff"
 ZERO_IP = b"\x00\x00\x00\x00"
+ARP_QUEUE_MAX = 3  # packets held per unresolved next hop (Linux's old unres_qlen)
 
 
 class DriverInitError(Exception):
@@ -226,6 +228,9 @@ class HttpApp:
             return
         try:
             request = self.parser.feed(data)
+        except HttpBodyTooLarge:
+            self._respond(_plain_response(413, "Payload Too Large", b"Payload Too Large"))
+            return
         except HttpParseError:
             self._respond(_plain_response(400, "Bad Request", b"Bad Request"))
             return
@@ -602,8 +607,12 @@ class GuestStack:
             next_hop = self.gateway_ip or dst_ip
         mac = self.arp_table.get(next_hop)
         if mac is None:
-            self.arp_pending.setdefault(next_hop, []).append(raw_ip)
-            self._send_arp_request(next_hop)
+            queued = self.arp_pending.setdefault(next_hop, [])
+            if len(queued) >= ARP_QUEUE_MAX:
+                del queued[0]  # the oldest goes, as in Linux
+                self._count("arp_queue_full")
+            queued.append(raw_ip)
+            self._send_arp_request(next_hop)  # with no ARP timer, each packet retries
             return
         self._transmit_frame(mac, ETHERTYPE_IPV4, raw_ip)
 

@@ -4,7 +4,8 @@ One Instance owns one event loop carrying a guest, its MAC device and the
 guest-facing side of a NAT stack.  Frames move in a pump: NAT output is
 delivered to the device, the asserted IRQ line wakes the guest, guest
 transmissions land back in the NAT stack, and the pump repeats until the
-instance is quiescent.  Host socket I/O threads only post onto the loop.
+instance is quiescent; then the NAT sends what the guest sent to the host.
+The loop's one thread also serves every host socket of the instance.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class Instance:
 
     def _settle(self) -> None:
         pump(self.usernet, self.device, self.guest)
+        self.usernet.send_to_host()
 
     def start(self) -> None:
         """Bind forwarded listeners, start the loop, boot the guest."""
@@ -102,11 +104,11 @@ class Instance:
         self.guest.start()
 
     def stop(self) -> None:
-        self.usernet.stop()
         if self._started:
             self.loop.stop()
             self.loop.join(timeout=5)
             self._started = False
+        self.usernet.stop()  # after the loop: its selector is not thread-safe
 
 
 def instance_from_image(

@@ -11,25 +11,26 @@ proxy: host-side byte streams are re-segmented with locally generated
 sequence numbers by the engine in ``tcp.py``, to which a flow adds a
 500 ms retransmit timer with 5 retries.
 
-Threading: all guest-facing state is owned by the instance event loop.
-Listener/reader/writer threads touch sockets only and post closures onto
-the loop.  A reader calls ``recv`` only while the bytes it has posted and
-the loop has not yet taken, plus the flow's unacknowledged ``send_buf``,
-stay below ``SEND_BUF_HIGH``; so a host that sends faster than the guest
-ACKs waits in its own socket buffer, not in this process.
+Threading: the instance's one event loop thread owns all of this state and
+every host socket, which it watches through ``EventLoop.watch``.  A flow
+watches its socket for reading only while its unacknowledged ``send_buf``
+is below ``SEND_BUF_HIGH``, so a host that sends faster than the guest ACKs
+waits in its own socket buffer, not in this process.  Bytes from the guest
+collect in the flow's ``out_buf`` and go to the host in one ``send`` per
+settle pass; the flow watches for writing only while a remainder waits.
 """
 
 from __future__ import annotations
 
-import queue
+import errno
 import random
+import selectors
 import socket
-import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .eventloop import EventLoop
 from .tcp import MSS, TcpEndpoint, seq_add
 from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
@@ -67,6 +68,10 @@ from .wire import (
     ip_to_bytes,
     ip_to_str,
 )
+
+if TYPE_CHECKING:
+    from .eventloop import EventLoop  # which imports threading, for its start()
+
 
 class NicConfigError(ValueError):
     pass
@@ -170,22 +175,6 @@ class SubnetPlan:
         return (int.from_bytes(ip, "big") & mask) == int.from_bytes(self.network, "big")
 
 
-_EOF = object()
-_CLOSE = object()
-
-
-def _close_socket(sock: socket.socket) -> None:
-    # shutdown first: close() alone leaves a peer FIN unsent while another
-    # thread is still blocked in recv() on the same descriptor
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
-
 RETRANSMIT_S = 0.5
 MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
@@ -208,13 +197,8 @@ class NatFlow(TcpEndpoint):
         self.guest_ip = guest_ip
         self.remote_ip = remote_ip  # the address we speak to the guest from
         self.sock: socket.socket | None = None
-        self.writer_q: queue.Queue = queue.Queue()
-        self._deliver = self.writer_q.put  # the engine's hook for bytes received in order
-        # Read backpressure.  Each counter has one writer: the reader thread
-        # adds what it posts, the loop adds what host_data took in.
-        self.host_posted = 0
-        self.host_taken = 0
-        self.host_readable = threading.Event()  # set by the loop to wake the reader
+        self.out_buf = bytearray()  # guest bytes not yet sent to the host
+        self._events = 0  # what the loop watches sock for
         self.tries = 0
         self.progress_at = 0.0  # monotonic time an ACK last acknowledged something new
         self._retransmit_timer = None
@@ -228,8 +212,8 @@ class NatFlow(TcpEndpoint):
 
     def start_inbound(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.active_open()  # first: a reader that finds the flow closed reads without limit
-        self.stack._spawn_socket_io(self)
+        self.active_open()
+        self._watch(0)
         self._arm_retransmit()
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
@@ -241,35 +225,28 @@ class NatFlow(TcpEndpoint):
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
         )
-        threading.Thread(
-            target=self._connect_host, args=(syn,), name="nat-connect", daemon=True
-        ).start()
-
-    def _connect_host(self, syn: TcpSegment) -> None:
-        try:
-            sock = socket.create_connection(
-                (ip_to_str(self.remote_ip), self.local_port), timeout=HANDSHAKE_TIMEOUT_S
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            self.stack.loop.post(self._connect_failed)
+        self.sock = sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        err = sock.connect_ex((ip_to_str(self.remote_ip), self.local_port))
+        if err != errno.EINPROGRESS:
+            self._connect_done(syn, err)
             return
-        self.stack.loop.post(lambda: self._connect_done(sock, syn))
+        self._events = selectors.EVENT_WRITE  # writable once the connect is through
+        self.stack.loop.watch(sock, self._events, lambda _ready: self._connect_done(syn))
 
-    def _connect_done(self, sock: socket.socket, syn: TcpSegment) -> None:
+    def _connect_done(self, syn: TcpSegment, err: int | None = None) -> None:
         if self.state != "connecting":
-            sock.close()
             return
-        self.sock = sock
-        self.stack._spawn_socket_io(self)
+        if err is None:
+            err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            self._transmit(rst=True, ack_flag=True)
+            self._teardown()
+            return
         self.passive_open(syn)
+        self._watch(0)
         self._arm_retransmit()
-
-    def _connect_failed(self) -> None:
-        if self.state != "connecting":
-            return
-        self._transmit(rst=True, ack_flag=True)
-        self._teardown()
 
     def _handshake_timeout(self) -> None:
         self._handshake_timer = None
@@ -281,8 +258,13 @@ class NatFlow(TcpEndpoint):
     def _emit(self, seg: TcpSegment) -> None:
         self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
 
+    def _deliver(self, data: bytes) -> None:
+        if not self.out_buf:
+            self.stack._unsent.append(self)
+        self.out_buf += data
+
     def _deliver_eof(self) -> None:
-        self.writer_q.put(_EOF)
+        self._deliver(b"")  # _flush passes the FIN on once out_buf is empty
 
     def _on_establish(self) -> None:
         if self._handshake_timer is not None:
@@ -307,29 +289,61 @@ class NatFlow(TcpEndpoint):
     def _pump(self) -> None:
         super()._pump()
         self._arm_retransmit()
-        self._resume_reader()
+        self._watch(self._events & selectors.EVENT_WRITE)
 
     # -- host-side events ----------------------------------------------------
 
+    def _watch(self, write: int) -> None:
+        """Watch sock for ``write`` and, while send_buf has room, for reading."""
+        events = write
+        if self.state != "closed" and not self.close_requested and len(self.send_buf) < SEND_BUF_HIGH:
+            events |= selectors.EVENT_READ
+        if events != self._events:
+            self._events = events
+            self.stack.loop.watch(self.sock, events, self._on_ready)
+
+    def _on_ready(self, ready: int) -> None:
+        if ready & selectors.EVENT_WRITE:
+            self._flush()
+        if ready & selectors.EVENT_READ and self.state != "closed":
+            try:
+                data = self.sock.recv(65536)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.host_error()
+                return
+            if data:
+                self.host_data(data)
+            else:
+                self.host_eof_seen()
+
+    def _flush(self) -> None:
+        """Send out_buf with one send(); once it is empty, pass on the guest's
+        FIN, or close the socket of a flow already torn down."""
+        if self.out_buf:
+            try:
+                del self.out_buf[: self.sock.send(self.out_buf)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self.out_buf.clear()
+                self.stack.loop.call_later(0, self.host_error)  # a callback, so its RST is pumped
+        if self.out_buf:
+            self._watch(selectors.EVENT_WRITE)
+        elif self.state == "closed":
+            self._release()
+        else:
+            if self.peer_fin:
+                try:
+                    self.sock.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass
+            self._watch(0)
+
     def host_data(self, data: bytes) -> None:
-        if self.state != "closed":
-            self.send_buf += data
-        self.host_taken += len(data)
-        self._pump()  # which also wakes the reader
-
-    def may_read_host(self) -> bool:
-        """Whether the reader may recv(): host bytes posted or unacknowledged
-        stay under SEND_BUF_HIGH.  Called on the reader thread as well."""
-        if self.state == "closed" or self.stack._stopping:
-            return True  # let the reader run into the closed socket and exit
-        backlog = self.host_posted - self.host_taken + len(self.send_buf)
-        return backlog < SEND_BUF_HIGH
-
-    def _resume_reader(self) -> None:
-        # The reader checks again after each clear(), so a set event needs
-        # no second set(), which costs a lock and a notify.
-        if not self.host_readable.is_set() and self.may_read_host():
-            self.host_readable.set()
+        self.send_buf += data
+        self._pump()
 
     def host_eof_seen(self) -> None:
         if self.state != "closed":
@@ -391,8 +405,13 @@ class NatFlow(TcpEndpoint):
                 timer.cancel()
         self._retransmit_timer = None
         self._handshake_timer = None
-        self.writer_q.put(_CLOSE)
-        self.host_readable.set()
+        self._flush()  # the host gets every byte the guest sent before it sees the end
+
+    def _release(self) -> None:
+        if self.sock is not None:
+            self.stack.loop.watch(self.sock, 0)
+            self.sock.close()
+            self.sock = None
         self.stack._remove_flow(self)
 
 
@@ -420,16 +439,16 @@ class UserNetStack:
         self._arp_table: dict[bytes, MacAddress] = {}
         self._flows: dict[tuple, NatFlow] = {}
         self._listeners: list[socket.socket] = []
+        self._unsent: list[NatFlow] = []  # flows whose out_buf waits for this settle pass
         self._eph_port = 49152
         self._ident = 0
         self.drop_counts: Counter = Counter()
         self.frames_from_guest = 0
-        self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Bind one listening socket per TCP forward rule."""
+        """Bind one listening socket per TCP forward rule; call before the loop runs."""
         for rule in self.config.forwards:
             if rule.proto != "tcp":
                 continue  # udp rules parse but only internal DHCP is served
@@ -442,29 +461,34 @@ class UserNetStack:
                 self.stop()
                 raise
             sock.listen(64)
+            sock.setblocking(False)
             self._listeners.append(sock)
-            threading.Thread(
-                target=self._accept_loop, args=(rule, sock), name="hostfwd-accept", daemon=True
-            ).start()
+            self.loop.watch(sock, selectors.EVENT_READ, lambda _ready, r=rule, s=sock: self._accept(r, s))
 
     def stop(self) -> None:
-        self._stopping = True
+        """Close every host socket; call once the loop has stopped."""
         for sock in self._listeners:
-            _close_socket(sock)  # shutdown wakes the thread blocked in accept()
+            sock.close()
         self._listeners.clear()
         for flow in list(self._flows.values()):
-            flow.writer_q.put(_CLOSE)
-            flow.host_readable.set()
+            if flow.sock is not None:
+                flow.sock.close()
         self._flows.clear()
 
-    def _accept_loop(self, rule: ForwardRule, listener: socket.socket) -> None:
+    def _accept(self, rule: ForwardRule, listener: socket.socket) -> None:
         while True:
             try:
                 conn, _peer = listener.accept()
-            except OSError:
+            except OSError:  # BlockingIOError once the backlog is empty
                 return
+            conn.setblocking(False)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.loop.post(lambda c=conn: self.host_connection_in(rule, c))
+            self.host_connection_in(rule, conn)
+
+    def send_to_host(self) -> None:
+        """Send what each flow took from the guest since the last call."""
+        while self._unsent:
+            self._unsent.pop()._flush()
 
     # -- frame plumbing ------------------------------------------------------
 
@@ -651,9 +675,6 @@ class UserNetStack:
         self._start_when_guest_known(rule, sock, deadline)
 
     def _start_when_guest_known(self, rule: ForwardRule, sock, deadline: float) -> None:
-        if self._stopping:
-            sock.close()
-            return
         guest_ip = ip_to_bytes(rule.guest_addr) if rule.guest_addr else self.first_lease()
         guest_mac = self._arp_table.get(guest_ip) if guest_ip else None
         if guest_ip is not None and guest_mac is None:
@@ -688,59 +709,6 @@ class UserNetStack:
 
     def _remove_flow(self, flow: NatFlow) -> None:
         self._flows.pop(flow.key, None)
-
-    def _spawn_socket_io(self, flow: NatFlow) -> None:
-        threading.Thread(
-            target=self._reader_loop, args=(flow,), name="nat-read", daemon=True
-        ).start()
-        threading.Thread(
-            target=self._writer_loop, args=(flow,), name="nat-write", daemon=True
-        ).start()
-
-    def _reader_loop(self, flow: NatFlow) -> None:
-        sock = flow.sock
-        assert sock is not None
-        while True:
-            while not flow.may_read_host():
-                flow.host_readable.clear()
-                if flow.may_read_host():  # the loop made room before the clear
-                    break
-                flow.host_readable.wait()
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                self.loop.post(flow.host_error)
-                return
-            if not data:
-                self.loop.post(flow.host_eof_seen)
-                return
-            flow.host_posted += len(data)  # before the post, so it never lags host_taken
-            self.loop.post(lambda d=data: flow.host_data(d))
-
-    def _writer_loop(self, flow: NatFlow) -> None:
-        sock = flow.sock
-        assert sock is not None
-        while True:
-            item = flow.writer_q.get()
-            if item is _CLOSE:
-                _close_socket(sock)
-                return
-            if item is _EOF:
-                try:
-                    sock.shutdown(socket.SHUT_WR)
-                except OSError:
-                    pass
-                continue
-            try:
-                sock.sendall(item)
-            except OSError:
-                self.loop.post(flow.host_error)
-                # drain until close so the queue does not build up
-                while True:
-                    tail = flow.writer_q.get()
-                    if tail is _CLOSE:
-                        _close_socket(sock)
-                        return
 
     # -- guest-bound encapsulation ----------------------------------------------
 

@@ -61,6 +61,10 @@ class HttpParseError(WireError):
     pass
 
 
+class HttpBodyTooLarge(HttpParseError):
+    pass
+
+
 def ip_to_bytes(text: str) -> bytes:
     parts = text.split(".")
     if len(parts) != 4:
@@ -211,6 +215,8 @@ def decode_ipv4(raw: bytes) -> Ipv4Packet:
         raise DecodeError(f"not IPv4: version {ver_ihl >> 4}")
     if ver_ihl & 0xF != 5:
         raise DecodeError("IPv4 options not supported")
+    if raw[6] & 0x3F or raw[7]:  # more-fragments bit or a fragment offset
+        raise DecodeError("IPv4 fragments not supported")
     if _sum16(bytes(raw[:20])) != 0xFFFF:
         raise DecodeError("IPv4 header checksum mismatch")
     total, = struct.unpack_from("!H", raw, 2)
@@ -464,12 +470,14 @@ class HttpRequestParser:
 
     feed() returns a complete HttpRequest once the head (and any
     Content-Length body) has arrived, else None.  Malformed input raises
-    HttpParseError.  Limits are enforced on the head size and header count.
+    HttpParseError.  Limits are enforced on the head size and header count,
+    and a declared body over ``max_body`` raises HttpBodyTooLarge at once.
     """
 
-    def __init__(self, max_line: int = 8192, max_headers: int = 32):
+    def __init__(self, max_line: int = 8192, max_headers: int = 32, max_body: int = 65536):
         self.max_line = max_line
         self.max_headers = max_headers
+        self.max_body = max_body
         self._buf = bytearray()
         self._request: HttpRequest | None = None
         self._body_needed = 0
@@ -486,6 +494,8 @@ class HttpRequestParser:
             del self._buf[:end + 4]
             self._request = self._parse_head(head)
             self._body_needed = int(self._request.headers.get("content-length", "0") or "0")
+            if self._body_needed > self.max_body:
+                raise HttpBodyTooLarge(f"declared body of {self._body_needed} bytes")
         if len(self._buf) < self._body_needed:
             return None
         request = self._request

@@ -20,6 +20,18 @@ def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
     return predicate()
 
 
+def ipv4_with_flags(raw: bytes, flags_offset: int) -> bytes:
+    """An encoded IPv4 packet with its flags and fragment offset field
+    replaced, and its header checksum made valid again."""
+    from emunet.wire import ipv4_checksum
+
+    header = bytearray(raw[:20])
+    header[6:8] = flags_offset.to_bytes(2, "big")
+    header[10:12] = b"\x00\x00"
+    header[10:12] = ipv4_checksum(bytes(header)).to_bytes(2, "big")
+    return bytes(header) + raw[20:]
+
+
 def free_port() -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -59,6 +71,9 @@ class ManualLoop:
         timer = Timer(delay, fn)
         self.timers.append(timer)
         return timer
+
+    def watch(self, sock, events, fn=None) -> None:
+        pass  # no selector: tests drive socket events by hand
 
     def run_pending(self) -> int:
         count = 0

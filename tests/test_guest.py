@@ -275,6 +275,18 @@ class TestGuestTcpAndHttp:
         client.push(b"garbage\r\n\r\n")
         assert bytes(client.received).startswith(b"HTTP/1.1 400")
 
+    def test_declared_body_over_the_cap_gets_413_and_nothing_else(self):
+        pair = SyncPair()
+        pair.boot()
+        client = _FakeClient(pair, src_port=50001)
+        client.open()
+        client.push(b"POST /hello HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n")
+        client.push(b"x" * 1000)  # the start of the body
+        text = bytes(client.received)
+        assert text.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+        assert text.count(b"HTTP/1.1 ") == 1
+        assert client.saw_fin
+
     def test_syn_to_closed_port_gets_rst(self):
         pair = SyncPair()
         pair.boot()
@@ -416,3 +428,28 @@ class TestLayering:
             [sys.executable, "-c", probe], env={"PYTHONPATH": src}, timeout=60
         )
         assert result.returncode == 0, "the emulated device depends on the host NAT"
+
+
+class TestArpQueue:
+    def test_packets_to_an_unresolved_next_hop_are_capped(self):
+        from emunet.guest import ARP_QUEUE_MAX
+
+        pair = SyncPair()
+        pair.boot()
+        host, host_mac = ip_to_bytes("10.0.2.40"), MacAddress.parse("52:54:00:aa:bb:cc")
+        packets = [
+            encode_ipv4(Ipv4Packet(GUEST_IP, host, IPPROTO_TCP, b"", ident=i)) for i in range(20)
+        ]
+        for raw in packets:
+            pair.guest._route_ipv4(host, raw)
+        assert pair.guest.arp_pending[host] == packets[-ARP_QUEUE_MAX:]  # the newest stay
+        assert pair.guest.drop_counts["arp_queue_full"] == 20 - ARP_QUEUE_MAX
+        reply = ArpPacket(
+            op=ARP_OP_REPLY, sender_mac=host_mac, sender_ip=host,
+            target_mac=pair.guest.mac, target_ip=GUEST_IP,
+        )
+        sent_before = len(pair.guest_tx)
+        pair.inject(EthernetFrame(pair.guest.mac, host_mac, ETHERTYPE_ARP, encode_arp(reply)))
+        flushed = [f.payload[:20] for f in pair.guest_tx[sent_before:] if f.dst == host_mac]
+        assert flushed == [raw[:20] for raw in packets[-ARP_QUEUE_MAX:]]
+        assert host not in pair.guest.arp_pending

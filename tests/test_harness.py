@@ -139,6 +139,25 @@ def _recv_exactly(sock: socket.socket, size: int) -> bytes:
     return bytes(data)
 
 
+class TestOneThreadPerInstance:
+    def test_requests_beside_open_connections_start_no_thread(self):
+        instance, _log, port = make_instance()
+        instance.start()
+        threads = threading.active_count()
+        try:
+            assert wait_for(lambda: instance.guest.ip is not None, timeout=5)
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(8)]
+            assert wait_for(lambda: len(instance.usernet._flows) == 8)
+            for _ in range(20):
+                assert http_get(port) == (200, b"Hello World!")
+                assert threading.active_count() == threads
+            for sock in idle:
+                sock.close()
+        finally:
+            instance.stop()
+        assert instance.loop.errors == 0
+
+
 class TestFramesPerOperation:
     """ACKs ride on data: a bare ACK only when no segment carried it."""
 

@@ -9,7 +9,7 @@ import pytest
 from emunet.device import GuestMemory, MacDevice
 from emunet.guest import GuestStack, GuestTcpConn
 from emunet.tcp import seq_add
-from emunet.usernet import _EOF, NatFlow, NicConfig, UserNetStack
+from emunet.usernet import NatFlow, NicConfig, UserNetStack
 from emunet.wire import TcpSegment, ip_to_bytes
 from helpers import ManualLoop
 
@@ -44,14 +44,16 @@ class _End:
         self.peer_nxt = seq_add(PEER_ISS, 1)
         if kind == "nat":  # the NAT opens toward a listening guest
             self.stack = UserNetStack(NicConfig(model="open_eth"), ManualLoop())
-            self.stack._spawn_socket_io = lambda flow: None  # no host socket here
             self.ep = NatFlow(
                 self.stack, guest_ip=ip_to_bytes("10.0.2.15"), guest_port=80,
                 remote_ip=ip_to_bytes("10.0.2.2"), remote_port=49152,
             )
             self.stack._flows[self.ep.key] = self.ep
             self.ep._emit = self.sent.append
-            self.ep.start_inbound(None)
+            self.events = []  # what the flow would send to its host socket
+            self.ep._deliver = lambda data: self.events.append(("data", bytes(data)))
+            self.ep._deliver_eof = lambda: self.events.append(("eof",))
+            self.ep.start_inbound(None)  # no host socket here
             self.peer_in(PEER_ISS, syn=True)
         else:  # the guest accepts a connection
             memory = GuestMemory()
@@ -78,10 +80,7 @@ class _End:
         if self.kind == "guest":
             events, self.ep.app.events = self.ep.app.events, []
             return events
-        events = []
-        while not self.ep.writer_q.empty():
-            item = self.ep.writer_q.get()
-            events.append(("eof",) if item is _EOF else ("data", item))
+        events, self.events = self.events, []
         return events
 
     def close_local(self):

@@ -37,7 +37,7 @@ from emunet.wire import (
     encode_tcp,
     ip_to_bytes,
 )
-from helpers import ManualLoop
+from helpers import ManualLoop, ipv4_with_flags
 
 GUEST_MAC = MacAddress.parse("52:54:00:12:34:56")
 GUEST_MAC2 = MacAddress.parse("52:54:00:12:34:57")
@@ -417,6 +417,44 @@ class TestFlowTimers:
         flow._teardown()
         far.close()
 
+    def test_teardown_sends_all_of_out_buf_before_the_host_sees_eof(self):
+        import selectors
+
+        stack, flow, far = self._established_flow()
+        flow.sock.setblocking(False)  # as every flow's socket is
+        data = bytes(range(256)) * 16384  # 4 MiB: more than the socket pair buffers
+        flow.segment_in(
+            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=flow.snd_una,
+                       ack_flag=True, window=8192, payload=data[:1000])
+        )
+        flow._deliver(data[1000:])  # as if more segments came in the same settle pass
+        assert flow.out_buf == data  # nothing sent before the pass ends
+        flow.segment_in(
+            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=flow.snd_una, rst=True)
+        )
+        assert flow.state == "closed"
+        received = bytearray()
+        while chunk := far.recv(65536):
+            received += chunk
+            flow._on_ready(selectors.EVENT_WRITE)  # as the loop does while a remainder waits
+        assert received == data
+        assert flow.sock is None and not stack._flows
+        far.close()
+
+    def test_fragment_is_malformed_and_reaches_no_flow(self):
+        stack, flow, far = self._established_flow()
+        seg = TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=flow.snd_una,
+                         ack_flag=True, window=8192, payload=b"first part")
+        src, dst = ip_to_bytes("10.0.2.15"), ip_to_bytes("10.0.2.2")
+        raw = encode_ipv4(Ipv4Packet(src, dst, IPPROTO_TCP, encode_tcp(seg, src, dst)))
+        stack.guest_frame_in(guest_frame(ipv4_with_flags(raw, 0x2000)))  # more fragments follow
+        assert stack.drop_counts["ipv4_malformed"] == 1
+        assert flow.out_buf == b"" and flow.rcv_nxt == seg.seq
+        stack.guest_frame_in(guest_frame(raw))  # the same datagram, whole
+        assert flow.out_buf == b"first part"
+        flow._teardown()
+        far.close()
+
     def test_handshake_timeout_closes_host_socket(self):
         stack, flow, far = self._flow_with_socketpair()
         far.settimeout(5)
@@ -451,6 +489,22 @@ class TestFlowTimers:
         assert usernet.GUEST_WINDOW == 8192
 
 
+def test_importing_the_nat_loads_no_thread_machinery():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import emunet
+
+    src = str(Path(emunet.__file__).parents[1])
+    probe = "import sys, emunet.usernet; sys.exit(bool({'threading', 'queue'} & set(sys.modules)))"
+    # -S: a site hook may import threading before any emunet code runs
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src}, timeout=60
+    )
+    assert result.returncode == 0, "the NAT stack imports threading or queue"
+
+
 class TestSubnetPlan:
     def test_membership(self):
         plan = SubnetPlan()
@@ -470,11 +524,20 @@ class TestHostReadBackpressure:
         import threading
         import time
 
+        from emunet.eventloop import EventLoop
         from emunet.usernet import SEND_BUF_HIGH, NatFlow
 
-        stack = make_stack()
+        sizes = []  # send_buf after each callback the loop ran
+
+        def settle():  # the guest takes frames but never ACKs
+            stack.poll_frames_out()
+            sizes.append(len(flow.send_buf))
+
+        loop = EventLoop(idle_hook=settle)
+        stack = UserNetStack(NicConfig(model="open_eth", id="t0"), loop)
         stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
         near, far = socket_mod.socketpair()
+        near.setblocking(False)
         flow = NatFlow(
             stack,
             guest_ip=ip_to_bytes("10.0.2.15"),
@@ -485,9 +548,8 @@ class TestHostReadBackpressure:
         stack._flows[flow.key] = flow
         flow.sock = near
         flow.state = "established"
-        before = set(threading.enumerate())
-        stack._spawn_socket_io(flow)
-        io_threads = set(threading.enumerate()) - before
+        loop.post(lambda: flow._watch(0))
+        loop.start()
 
         def write_all():
             try:
@@ -497,56 +559,27 @@ class TestHostReadBackpressure:
 
         writer = threading.Thread(target=write_all)
         writer.start()
-        peak = 0
+        seen = 0
         idle_since = time.monotonic()
         deadline = idle_since + 10
         while time.monotonic() < deadline and (
-            len(flow.send_buf) < SEND_BUF_HIGH or time.monotonic() - idle_since < 0.3
+            not sizes or sizes[-1] < SEND_BUF_HIGH or time.monotonic() - idle_since < 0.3
         ):
-            if stack.loop.run_pending():
-                idle_since = time.monotonic()
-            stack.poll_frames_out()  # the guest takes frames but never ACKs
-            peak = max(peak, len(flow.send_buf))
+            if len(sizes) != seen:
+                seen, idle_since = len(sizes), time.monotonic()
             time.sleep(0.001)
-        assert peak <= SEND_BUF_HIGH + 64 * 1024
-        assert len(flow.send_buf) >= SEND_BUF_HIGH  # stopped at the mark, not before
+        assert max(sizes) <= SEND_BUF_HIGH + 64 * 1024
+        assert sizes[-1] >= SEND_BUF_HIGH  # stopped at the mark, not before
         if ending == "teardown":
-            flow._teardown()
-        else:
+            loop.post(flow._teardown)
+        loop.stop()
+        loop.join(timeout=5)
+        if ending == "stop":
             stack.stop()
-        far.close()
+        assert near.fileno() == -1  # the host socket is closed
         writer.join(timeout=5)
-        deadline = time.monotonic() + 5
-        while any(t.is_alive() for t in io_threads) and time.monotonic() < deadline:
-            stack.loop.run_pending()
-            time.sleep(0.001)
-        assert not writer.is_alive()
-        assert not any(t.is_alive() for t in io_threads)  # no reader left waiting
-
-
-    def test_reader_starts_only_once_the_bound_applies(self):
-        from emunet.usernet import SEND_BUF_HIGH, NatFlow
-
-        stack = make_stack()
-        stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
-        flow = NatFlow(
-            stack,
-            guest_ip=ip_to_bytes("10.0.2.15"),
-            guest_port=80,
-            remote_ip=ip_to_bytes("10.0.2.2"),
-            remote_port=49152,
-        )
-        stack._flows[flow.key] = flow
-        bounded = []
-
-        def spawn(flow):  # instead of the reader and writer threads
-            flow.host_posted = SEND_BUF_HIGH
-            bounded.append(not flow.may_read_host())
-            flow.host_posted = 0
-
-        stack._spawn_socket_io = spawn
-        flow.start_inbound(None)
-        assert bounded == [True]  # a closed flow would let the reader read without limit
+        assert not writer.is_alive()  # its sendall() failed on the closed peer
+        far.close()
 
 
 class TestListenerLifecycle:

@@ -12,6 +12,7 @@ from emunet.wire import (
     DhcpMessage,
     EncodeError,
     EthernetFrame,
+    HttpBodyTooLarge,
     HttpParseError,
     HttpRequestParser,
     Ipv4Packet,
@@ -19,6 +20,7 @@ from emunet.wire import (
     TcpSegment,
     UdpDatagram,
 )
+from helpers import ipv4_with_flags
 from reference import (
     ones_complement_checksum,
     reference_decode_frame,
@@ -207,6 +209,18 @@ class TestIpv4:
         with pytest.raises(DecodeError):
             wire.decode_ipv4(bytes(raw))
 
+    @pytest.mark.parametrize(
+        "flags_offset", [0x2000, 0x0001, 0x1FFF, 0x6000], ids=["more", "offset", "last", "df_more"]
+    )
+    def test_fragment_rejected(self, flags_offset):
+        raw = wire.encode_ipv4(Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"part"))
+        with pytest.raises(DecodeError, match="fragment"):
+            wire.decode_ipv4(ipv4_with_flags(raw, flags_offset))
+
+    def test_dont_fragment_bit_accepted(self):
+        raw = wire.encode_ipv4(Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"whole"))
+        assert wire.decode_ipv4(ipv4_with_flags(raw, 0x4000)).payload == b"whole"
+
     def test_padded_frame_payload_trimmed(self):
         # IP total-length trims ethernet minimum-size padding.
         pkt = Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"ab")
@@ -332,6 +346,17 @@ class TestHttp:
         ) + b"\r\n"
         with pytest.raises(HttpParseError):
             HttpRequestParser().feed(blob)
+
+    def test_declared_body_over_the_cap_rejected_with_the_head(self):
+        with pytest.raises(HttpBodyTooLarge):
+            HttpRequestParser().feed(b"POST /x HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n")
+
+    def test_body_at_the_cap_accepted(self):
+        parser = HttpRequestParser(max_body=4)
+        request = parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd")
+        assert request is not None and request.body == b"abcd"
+        with pytest.raises(HttpBodyTooLarge):
+            HttpRequestParser(max_body=4).feed(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\n")
 
     def test_response_encoding(self):
         resp = wire.HttpResponse(200, "OK", [("Content-Length", "2")], b"ok")
