@@ -178,6 +178,7 @@ class SubnetPlan:
 RETRANSMIT_S = 0.5
 MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
+ACCEPT_RETRY_S = 0.1  # how long a listener rests after accept() fails for want of resources
 SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet acknowledged, before it stops reading
 
 
@@ -225,10 +226,13 @@ class NatFlow(TcpEndpoint):
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
         )
-        self.sock = sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        err = sock.connect_ex((ip_to_str(self.remote_ip), self.local_port))
+        try:
+            self.sock = sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            err = sock.connect_ex((ip_to_str(self.remote_ip), self.local_port))
+        except OSError as exc:  # out of descriptors, say: refuse as a failed connect would
+            err = exc.errno or errno.EIO
         if err != errno.EINPROGRESS:
             self._connect_done(syn, err)
             return
@@ -330,6 +334,8 @@ class NatFlow(TcpEndpoint):
                 self.out_buf.clear()
                 self.stack.loop.call_later(0, self.host_error)  # a callback, so its RST is pumped
         if self.out_buf:
+            if self.state == "closed":
+                self.stack._draining.add(self)
             self._watch(selectors.EVENT_WRITE)
         elif self.state == "closed":
             self._release()
@@ -405,6 +411,7 @@ class NatFlow(TcpEndpoint):
                 timer.cancel()
         self._retransmit_timer = None
         self._handshake_timer = None
+        self.stack._flows.pop(self.key, None)  # so a new SYN on the same ports opens a new flow
         self._flush()  # the host gets every byte the guest sent before it sees the end
 
     def _release(self) -> None:
@@ -412,7 +419,7 @@ class NatFlow(TcpEndpoint):
             self.stack.loop.watch(self.sock, 0)
             self.sock.close()
             self.sock = None
-        self.stack._remove_flow(self)
+        self.stack._draining.discard(self)
 
 
 class UserNetStack:
@@ -438,6 +445,7 @@ class UserNetStack:
         self._next_lease = int.from_bytes(self.subnet.dhcp_start, "big")
         self._arp_table: dict[bytes, MacAddress] = {}
         self._flows: dict[tuple, NatFlow] = {}
+        self._draining: set[NatFlow] = set()  # closed flows still sending out_buf to the host
         self._listeners: list[socket.socket] = []
         self._unsent: list[NatFlow] = []  # flows whose out_buf waits for this settle pass
         self._eph_port = 49152
@@ -463,23 +471,33 @@ class UserNetStack:
             sock.listen(64)
             sock.setblocking(False)
             self._listeners.append(sock)
-            self.loop.watch(sock, selectors.EVENT_READ, lambda _ready, r=rule, s=sock: self._accept(r, s))
+            self._watch_listener(rule, sock)
 
     def stop(self) -> None:
         """Close every host socket; call once the loop has stopped."""
         for sock in self._listeners:
             sock.close()
         self._listeners.clear()
-        for flow in list(self._flows.values()):
+        for flow in [*self._flows.values(), *self._draining]:
             if flow.sock is not None:
                 flow.sock.close()
         self._flows.clear()
+        self._draining.clear()
+
+    def _watch_listener(self, rule: ForwardRule, listener: socket.socket) -> None:
+        if listener in self._listeners:  # not closed by stop() meanwhile
+            self.loop.watch(listener, selectors.EVENT_READ, lambda _ready: self._accept(rule, listener))
 
     def _accept(self, rule: ForwardRule, listener: socket.socket) -> None:
         while True:
             try:
                 conn, _peer = listener.accept()
-            except OSError:  # BlockingIOError once the backlog is empty
+            except BlockingIOError:  # the backlog is empty
+                return
+            except OSError:  # out of descriptors, say: the listener stays readable, so rest it
+                self.drop_counts["fwd_accept_failed"] += 1
+                self.loop.watch(listener, 0)
+                self.loop.call_later(ACCEPT_RETRY_S, lambda: self._watch_listener(rule, listener))
                 return
             conn.setblocking(False)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -706,9 +724,6 @@ class UserNetStack:
             if (guest_ip, guest_port, self.subnet.gateway_ip, port) not in self._flows:
                 return port
         raise RuntimeError("ephemeral ports exhausted")
-
-    def _remove_flow(self, flow: NatFlow) -> None:
-        self._flows.pop(flow.key, None)
 
     # -- guest-bound encapsulation ----------------------------------------------
 

@@ -465,19 +465,21 @@ def encode_response(resp: HttpResponse) -> bytes:
     return "".join(lines).encode("ascii") + resp.body
 
 
+MAX_BODY = 65536  # bytes of request body the parser will buffer
+
+
 class HttpRequestParser:
     """Incremental HTTP/1.1 request parser.
 
     feed() returns a complete HttpRequest once the head (and any
     Content-Length body) has arrived, else None.  Malformed input raises
     HttpParseError.  Limits are enforced on the head size and header count,
-    and a declared body over ``max_body`` raises HttpBodyTooLarge at once.
+    and a declared body over ``MAX_BODY`` raises HttpBodyTooLarge at once.
     """
 
-    def __init__(self, max_line: int = 8192, max_headers: int = 32, max_body: int = 65536):
+    def __init__(self, max_line: int = 8192, max_headers: int = 32):
         self.max_line = max_line
         self.max_headers = max_headers
-        self.max_body = max_body
         self._buf = bytearray()
         self._request: HttpRequest | None = None
         self._body_needed = 0
@@ -494,7 +496,7 @@ class HttpRequestParser:
             del self._buf[:end + 4]
             self._request = self._parse_head(head)
             self._body_needed = int(self._request.headers.get("content-length", "0") or "0")
-            if self._body_needed > self.max_body:
+            if self._body_needed > MAX_BODY:
                 raise HttpBodyTooLarge(f"declared body of {self._body_needed} bytes")
         if len(self._buf) < self._body_needed:
             return None

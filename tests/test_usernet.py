@@ -598,3 +598,131 @@ class TestListenerLifecycle:
         again = make_stack([rule])
         again.start()  # raises OSError if the old listener still holds the port
         again.stop()
+
+
+class _RecordingLoop(ManualLoop):
+    """ManualLoop that keeps the latest callback watched per socket (None once unwatched)."""
+
+    def __init__(self):
+        super().__init__()
+        self.watched = {}
+
+    def watch(self, sock, events, fn=None) -> None:
+        self.watched[sock] = fn if events else None
+
+
+class TestHostSocketFailures:
+    GUEST = ip_to_bytes("10.0.2.15")
+    REMOTE = ip_to_bytes("127.0.0.1")
+
+    def _stack(self, forwards=None):
+        stack = UserNetStack(NicConfig(model="open_eth", forwards=forwards or []), _RecordingLoop())
+        stack._arp_table[self.GUEST] = GUEST_MAC
+        return stack
+
+    def _syn_in(self, stack, port):
+        seg = TcpSegment(src_port=40000, dst_port=port, seq=1000, ack=0, syn=True, window=8192)
+        pkt = Ipv4Packet(self.GUEST, self.REMOTE, IPPROTO_TCP, encode_tcp(seg, self.GUEST, self.REMOTE))
+        stack.guest_frame_in(guest_frame(encode_ipv4(pkt)))
+        return stack._flows.get((self.GUEST, 40000, self.REMOTE, port))
+
+    def test_new_syn_on_the_ports_of_a_draining_flow_opens_a_new_flow(self):
+        import select
+        import selectors
+        import socket as socket_mod
+
+        server = socket_mod.socket()
+        server.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, 65536)
+        server.bind(("127.0.0.1", 0))
+        server.listen(2)
+        port = server.getsockname()[1]
+        stack = self._stack()
+        old = self._syn_in(stack, port)
+        assert select.select([], [old.sock], [], 5)[1]
+        stack.loop.watched[old.sock](selectors.EVENT_WRITE)  # the connect is through
+        assert old.state == "syn_rcvd"
+        conn, _ = server.accept()
+        data = bytes(range(256)) * 32768  # 8 MiB: more than the host socket buffers
+        old._deliver(data)
+        old._teardown()
+        assert old.out_buf and old.sock is not None  # still sending to the host
+        assert old not in stack._flows.values() and old in stack._draining
+
+        new = self._syn_in(stack, port)
+        assert new is not None and new is not old and new.state == "connecting"
+        assert stack.drop_counts["tcp_no_flow"] == 0
+
+        conn.settimeout(5)
+        received = bytearray()
+        while chunk := conn.recv(65536):
+            received += chunk
+            if old.out_buf:
+                old._on_ready(selectors.EVENT_WRITE)
+        assert received == data
+        assert old.sock is None and not stack._draining
+        assert stack._flows[new.key] is new  # the old flow's release left the new one alone
+        stack.stop()
+        assert new.sock.fileno() == -1
+        conn.close()
+        server.close()
+
+    def test_stop_closes_the_socket_of_a_draining_flow(self):
+        import socket as socket_mod
+
+        from emunet.usernet import NatFlow
+
+        stack = self._stack()
+        near, far = socket_mod.socketpair()
+        near.setblocking(False)  # as every flow's socket is
+        flow = NatFlow(stack, self.GUEST, 80, ip_to_bytes("10.0.2.2"), 49152)
+        stack._flows[flow.key] = flow
+        flow.start_inbound(near)
+        flow._deliver(bytes(8 << 20))
+        flow._teardown()
+        assert flow in stack._draining
+        stack.stop()
+        assert near.fileno() == -1 and not stack._draining
+        far.close()
+
+    def test_connect_that_cannot_get_a_socket_is_refused_with_rst(self, monkeypatch):
+        import errno
+
+        from emunet import usernet
+
+        def no_descriptors(*_args):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        stack = self._stack()
+        monkeypatch.setattr(usernet.socket, "socket", no_descriptors)
+        assert self._syn_in(stack, 9) is None  # torn down at once
+        (frame,) = stack.poll_frames_out()
+        pkt = decode_ipv4(frame.payload)
+        rst = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
+        assert rst.rst and rst.ack_flag and rst.ack == 1001
+        assert not stack._flows and not stack._draining
+
+    def test_accept_that_fails_for_want_of_descriptors_rests_the_listener(self):
+        import errno
+
+        from emunet.usernet import ACCEPT_RETRY_S
+
+        class Listener:
+            def accept(self):
+                raise OSError(errno.EMFILE, "Too many open files")
+
+        rule = ForwardRule("tcp", "127.0.0.1", 8080, "", 80)
+        stack = self._stack([rule])
+        listener = Listener()
+        stack._listeners.append(listener)
+        stack._watch_listener(rule, listener)
+        stack.loop.watched[listener](0)
+        assert stack.drop_counts["fwd_accept_failed"] == 1
+        assert stack.loop.watched[listener] is None  # the loop no longer wakes for it
+        (rest,) = stack.loop.timers
+        assert rest.deadline == ACCEPT_RETRY_S  # ManualLoop keeps the delay here
+        stack.loop.fire_timers()
+        assert stack.loop.watched[listener] is not None  # watched again
+        stack._listeners.clear()  # as stop() does
+        stack.loop.watched[listener](0)
+        stack.loop.fire_timers()
+        assert stack.loop.watched[listener] is None  # a closed listener is not watched again

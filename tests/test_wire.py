@@ -352,11 +352,12 @@ class TestHttp:
             HttpRequestParser().feed(b"POST /x HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n")
 
     def test_body_at_the_cap_accepted(self):
-        parser = HttpRequestParser(max_body=4)
-        request = parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd")
-        assert request is not None and request.body == b"abcd"
+        body = bytes(range(256)) * (wire.MAX_BODY // 256)
+        assert len(body) == 65536 == wire.MAX_BODY
+        request = HttpRequestParser().feed(b"POST /x HTTP/1.1\r\nContent-Length: 65536\r\n\r\n" + body)
+        assert request is not None and request.body == body
         with pytest.raises(HttpBodyTooLarge):
-            HttpRequestParser(max_body=4).feed(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\n")
+            HttpRequestParser().feed(b"POST /x HTTP/1.1\r\nContent-Length: 65537\r\n\r\n")
 
     def test_response_encoding(self):
         resp = wire.HttpResponse(200, "OK", [("Content-Length", "2")], b"ok")
