@@ -17,6 +17,8 @@ open_eth_* device function; update_irq only traces interrupt level changes.
 
 from __future__ import annotations
 
+import mmap
+
 from .trace import NULL_TRACE, TraceConfig
 from .wire import EthernetFrame, MacAddress, encode_frame
 
@@ -92,11 +94,12 @@ class MemoryAccessError(Exception):
 class GuestMemory:
     """Flat guest RAM serving as the DMA target for descriptor buffers.
 
+    An anonymous mapping, so only the pages the guest touches are resident.
     Out-of-range access raises MemoryAccessError, never silently truncates.
     """
 
     def __init__(self, size: int = 4 * 1024 * 1024):
-        self._buf = bytearray(size)
+        self._buf = mmap.mmap(-1, size)
 
     @property
     def size(self) -> int:
@@ -105,7 +108,7 @@ class GuestMemory:
     def read(self, addr: int, length: int) -> bytes:
         if addr < 0 or length < 0 or addr + length > len(self._buf):
             raise MemoryAccessError(f"read of {length} bytes at 0x{addr:x} out of range")
-        return bytes(self._buf[addr:addr + length])
+        return self._buf[addr:addr + length]  # a slice of a mapping is already bytes
 
     def write(self, addr: int, data: bytes) -> None:
         if addr < 0 or addr + len(data) > len(self._buf):

@@ -3,9 +3,13 @@
 One loop serializes all access to an emulated instance: device, guest and
 the NAT stack with its host sockets, which the loop waits on through
 ``selectors``.  Other threads interact only by posting callables, which
-wake the loop through a socket pair.  An optional idle hook runs after
-every executed callback; the harness uses it to pump frames between the
-NAT stack, device and guest until the instance is quiescent.
+wake the loop through a socket pair.  The idle hook runs after every
+executed callback; the harness uses it to pump frames between the NAT
+stack, device and guest until the instance is quiescent.
+
+All timing on the loop reads ``time()``, its one clock.  ``run_once`` is one
+pass, so a caller can step a loop it never started on its own thread, and a
+test that replaces a loop's ``time`` steps it in virtual time.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class Timer:
 
 
 class EventLoop:
-    def __init__(self, idle_hook: Callable[[], None] | None = None):
+    def __init__(self, idle_hook: Callable[[], None]):
         self._posted: deque = deque()
         self._timers: list[Timer] = []
         self._selector = selectors.DefaultSelector()
@@ -47,6 +51,10 @@ class EventLoop:
         self._idle_hook = idle_hook
         self._thread: threading.Thread | None = None
         self.errors = 0
+
+    def time(self) -> float:
+        """The loop's clock, in seconds."""
+        return time.monotonic()
 
     def post(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the loop; the one method other threads may call."""
@@ -60,7 +68,7 @@ class EventLoop:
             pass  # not started; woken already, the pair being full; or stopped
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
-        timer = Timer(time.monotonic() + delay, fn)
+        timer = Timer(self.time() + delay, fn)
         heapq.heappush(self._timers, timer)
         return timer
 
@@ -94,33 +102,41 @@ class EventLoop:
             self._thread.join(timeout)
 
     def run(self) -> None:
+        while self.run_once(None):
+            pass
+
+    def run_once(self, timeout: float | None) -> bool:
+        """Wait up to ``timeout`` seconds for a socket (``None``: until the next
+        timer is due), then run ready sockets, posts and due timers.  Returns
+        False once the pass takes the stop request."""
         posted, timers = self._posted, self._timers
-        while True:
-            timeout = max(0.0, timers[0].deadline - time.monotonic()) if timers else None
-            for key, ready in self._selector.select(timeout):
-                if key.data is None:
-                    self._wake_in.recv(4096)
-                else:
-                    self._run(key.data, ready)
-            while posted:
-                fn = posted.popleft()
-                if fn is _STOP:
-                    self._selector.close()
-                    self._wake_in.close()
-                    self._wake_out.close()
-                    return
-                self._run(fn)
-            now = time.monotonic()
-            while timers and timers[0].deadline <= now:
-                timer = heapq.heappop(timers)
-                if not timer.cancelled:
-                    self._run(timer.fn)
+        if timers:
+            due = max(0.0, timers[0].deadline - self.time())
+            timeout = due if timeout is None else min(timeout, due)
+        for key, ready in self._selector.select(timeout):
+            if key.data is None:
+                self._wake_in.recv(4096)
+            else:
+                self._run(key.data, ready)
+        while posted:
+            fn = posted.popleft()
+            if fn is _STOP:
+                self._selector.close()
+                self._wake_in.close()
+                self._wake_out.close()
+                return False
+            self._run(fn)
+        now = self.time()
+        while timers and timers[0].deadline <= now:
+            timer = heapq.heappop(timers)
+            if not timer.cancelled:
+                self._run(timer.fn)
+        return True
 
     def _run(self, fn: Callable, *args) -> None:
         try:
             fn(*args)
-            if self._idle_hook is not None:
-                self._idle_hook()
+            self._idle_hook()
         except Exception:
             self.errors += 1
             traceback.print_exc()

@@ -73,6 +73,7 @@ RX_BUF_BASE = 0x8000
 BROADCAST_IP = b"\xff\xff\xff\xff"
 ZERO_IP = b"\x00\x00\x00\x00"
 ARP_QUEUE_MAX = 3  # packets held per unresolved next hop (Linux's old unres_qlen)
+RNG_SEED = 0x6E57
 
 
 class DriverInitError(Exception):
@@ -332,17 +333,16 @@ class GuestStack:
         self,
         device: "dev.MacDevice",
         memory: "dev.GuestMemory",
-        config: GuestConfig | None = None,
-        log: Callable[[str], None] = print,
-        schedule: Callable | None = None,
-        rng_seed: int = 0x6E57,
+        config: GuestConfig,
+        log: Callable[[str], None],
+        schedule: Callable,
     ):
         self.device = device
         self.memory = memory
-        self.config = config or GuestConfig()
+        self.config = config
         self.log = log
-        self.schedule = schedule  # call_later(delay, fn), optional
-        self.rng = random.Random(rng_seed)
+        self.schedule = schedule  # call_later(delay, fn)
+        self.rng = random.Random(RNG_SEED)
         self.mac = MacAddress.parse(self.config.mac)
         self.driver = EthDriver(device, memory, self.mac)
         self.ip: bytes | None = None
@@ -463,8 +463,7 @@ class GuestStack:
             op=1, xid=self._dhcp_xid, client_mac=self.mac, message_type=DHCP_DISCOVER
         )
         self._send_dhcp(msg)
-        if self.schedule is not None:
-            self.schedule(1.0, self._dhcp_retry)
+        self.schedule(1.0, self._dhcp_retry)
 
     def _dhcp_retry(self) -> None:
         if self._dhcp_state == "selecting":
@@ -483,8 +482,7 @@ class GuestStack:
             server_id=offer.server_id,
         )
         self._send_dhcp(msg)
-        if self.schedule is not None:
-            self.schedule(1.0, self._dhcp_retry)
+        self.schedule(1.0, self._dhcp_retry)
 
     def _send_dhcp(self, msg: DhcpMessage) -> None:
         dgram = UdpDatagram(src_port=68, dst_port=67, payload=encode_dhcp(msg))

@@ -6,6 +6,10 @@ delivered to the device, the asserted IRQ line wakes the guest, guest
 transmissions land back in the NAT stack, and the pump repeats until the
 instance is quiescent; then the NAT sends what the guest sent to the host.
 The loop's one thread also serves every host socket of the instance.
+
+An Instance that was never ``start()``ed starts no thread and binds no
+port: a caller can post ``_boot`` and step ``loop.run_once`` on its own
+thread, and the idle hook pumps exactly as it does under ``start()``.
 """
 
 from __future__ import annotations
@@ -66,17 +70,14 @@ class Instance:
         trace: TraceConfig | None = None,
         log=print,
         name: str = "esp0",
-        memory_size: int = 4 * 1024 * 1024,
     ):
         self.name = name
         self.trace = trace if trace is not None else NULL_TRACE
         self.loop = EventLoop(idle_hook=self._settle)
-        self.memory = GuestMemory(memory_size)
+        self.memory = GuestMemory()
         self.device = MacDevice(self.memory, backend_send=self._frame_from_guest, trace=self.trace)
         self.usernet = UserNetStack(nic_config, self.loop)
-        self.guest = GuestStack(
-            self.device, self.memory, guest_config, log=log, schedule=self.loop.call_later
-        )
+        self.guest = GuestStack(self.device, self.memory, guest_config, log, self.loop.call_later)
         self.frame_decode_failures = 0
         self._started = False
 

@@ -18,6 +18,9 @@ is below ``SEND_BUF_HIGH``, so a host that sends faster than the guest ACKs
 waits in its own socket buffer, not in this process.  Bytes from the guest
 collect in the flow's ``out_buf`` and go to the host in one ``send`` per
 settle pass; the flow watches for writing only while a remainder waits.
+A torn-down flow keeps sending that remainder for as long as the host takes
+some of it at least once every ``DRAIN_IDLE_S``.  Every timer and
+timestamp here reads the loop's clock, ``EventLoop.time``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import errno
 import random
 import selectors
 import socket
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -79,7 +81,7 @@ class NicConfigError(ValueError):
 
 @dataclass
 class ForwardRule:
-    proto: str  # "tcp" | "udp"
+    proto: str  # "tcp", the one protocol forwarded
     host_addr: str  # "" = all host interfaces
     host_port: int
     guest_addr: str  # "" = first DHCP lease
@@ -114,7 +116,9 @@ def _parse_hostfwd(token: str) -> ForwardRule:
         raise NicConfigError(f"malformed hostfwd rule {token!r}")
     proto, host_addr, host_port = host_fields
     guest_addr, guest_port = guest_fields
-    if proto not in ("tcp", "udp"):
+    if proto == "udp":
+        raise NicConfigError(f"udp forwarding is not supported: {token!r}")
+    if proto != "tcp":
         raise NicConfigError(f"unknown protocol {proto!r} in {token!r}")
     for addr in (host_addr, guest_addr):
         if addr:
@@ -180,6 +184,9 @@ MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
 ACCEPT_RETRY_S = 0.1  # how long a listener rests after accept() fails for want of resources
 SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet acknowledged, before it stops reading
+DRAIN_IDLE_S = 5.0  # how long a torn-down flow waits for its host to take more of out_buf
+LEASE_TIME_S = 86400
+RNG_SEED = 0x5EED
 
 
 class NatFlow(TcpEndpoint):
@@ -201,9 +208,12 @@ class NatFlow(TcpEndpoint):
         self.out_buf = bytearray()  # guest bytes not yet sent to the host
         self._events = 0  # what the loop watches sock for
         self.tries = 0
-        self.progress_at = 0.0  # monotonic time an ACK last acknowledged something new
+        # loop time an ACK last acknowledged something new, or, once torn down,
+        # a send last gave the host some of out_buf
+        self.progress_at = 0.0
         self._retransmit_timer = None
         self._handshake_timer = None
+        self._drain_timer = None
 
     @property
     def key(self) -> tuple:
@@ -275,7 +285,7 @@ class NatFlow(TcpEndpoint):
             self._handshake_timer.cancel()
             self._handshake_timer = None
         self.tries = 0
-        self.progress_at = time.monotonic()
+        self.progress_at = self.stack.loop.time()
 
     def _on_finish(self) -> None:
         self._teardown()
@@ -287,7 +297,7 @@ class NatFlow(TcpEndpoint):
         if not super()._process_ack(ack, window):
             return False
         self.tries = 0
-        self.progress_at = time.monotonic()  # restarts the retransmit timer, lazily
+        self.progress_at = self.stack.loop.time()  # restarts the retransmit timer, lazily
         return True
 
     def _pump(self) -> None:
@@ -327,15 +337,21 @@ class NatFlow(TcpEndpoint):
         FIN, or close the socket of a flow already torn down."""
         if self.out_buf:
             try:
-                del self.out_buf[: self.sock.send(self.out_buf)]
+                sent = self.sock.send(self.out_buf)
             except BlockingIOError:
                 pass
             except OSError:
                 self.out_buf.clear()
                 self.stack.loop.call_later(0, self.host_error)  # a callback, so its RST is pumped
+            else:
+                del self.out_buf[:sent]
+                if self.state == "closed":
+                    self.progress_at = self.stack.loop.time()  # restarts the drain timer, lazily
         if self.out_buf:
-            if self.state == "closed":
+            if self.state == "closed" and self._drain_timer is None:
                 self.stack._draining.add(self)
+                self.progress_at = self.stack.loop.time()
+                self._drain_timer = self.stack.loop.call_later(DRAIN_IDLE_S, self._drain_tick)
             self._watch(selectors.EVENT_WRITE)
         elif self.state == "closed":
             self._release()
@@ -388,7 +404,7 @@ class NatFlow(TcpEndpoint):
         self._retransmit_timer = None
         if self.state == "closed" or self.snd_una == self.snd_nxt:
             return
-        early = self.progress_at + RETRANSMIT_S - time.monotonic()
+        early = self.progress_at + RETRANSMIT_S - self.stack.loop.time()
         if early > 0:  # an ACK made progress since the timer was armed
             self._retransmit_timer = self.stack.loop.call_later(early, self._retransmit_tick)
             return
@@ -414,7 +430,19 @@ class NatFlow(TcpEndpoint):
         self.stack._flows.pop(self.key, None)  # so a new SYN on the same ports opens a new flow
         self._flush()  # the host gets every byte the guest sent before it sees the end
 
+    def _drain_tick(self) -> None:
+        """Release a torn-down flow whose host has taken nothing for DRAIN_IDLE_S."""
+        early = self.progress_at + DRAIN_IDLE_S - self.stack.loop.time()
+        if early > 0:  # a send made progress since the timer was armed
+            self._drain_timer = self.stack.loop.call_later(early, self._drain_tick)
+            return
+        self.drop_counts["drain_idle"] += 1
+        self._release()
+
     def _release(self) -> None:
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+            self._drain_timer = None
         if self.sock is not None:
             self.stack.loop.watch(self.sock, 0)
             self.sock.close()
@@ -425,19 +453,11 @@ class NatFlow(TcpEndpoint):
 class UserNetStack:
     """Guest-facing NAT stack instance; one per emulated machine."""
 
-    def __init__(
-        self,
-        config: NicConfig,
-        loop: EventLoop,
-        subnet: SubnetPlan | None = None,
-        lease_time: int = 86400,
-        rng_seed: int = 0x5EED,
-    ):
+    def __init__(self, config: NicConfig, loop: EventLoop):
         self.config = config
         self.loop = loop
-        self.subnet = subnet or SubnetPlan()
-        self.lease_time = lease_time
-        self.rng = random.Random(rng_seed)
+        self.subnet = SubnetPlan()
+        self.rng = random.Random(RNG_SEED)
         self._frames_out: deque[EthernetFrame] = deque()
         self._leases: dict[bytes, bytes] = {}  # client mac -> ip
         self._offers: dict[bytes, bytes] = {}
@@ -458,8 +478,6 @@ class UserNetStack:
     def start(self) -> None:
         """Bind one listening socket per TCP forward rule; call before the loop runs."""
         for rule in self.config.forwards:
-            if rule.proto != "tcp":
-                continue  # udp rules parse but only internal DHCP is served
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             try:
@@ -664,7 +682,7 @@ class UserNetStack:
             server_id=self.subnet.gateway_ip,
             subnet_mask=self.subnet.netmask,
             router=self.subnet.gateway_ip,
-            lease_time=self.lease_time,
+            lease_time=LEASE_TIME_S,
         )
 
     def first_lease(self) -> bytes | None:
@@ -689,7 +707,7 @@ class UserNetStack:
 
     def host_connection_in(self, rule: ForwardRule, sock: socket.socket) -> None:
         """Begin forwarding one accepted host connection toward the guest."""
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+        deadline = self.loop.time() + HANDSHAKE_TIMEOUT_S
         self._start_when_guest_known(rule, sock, deadline)
 
     def _start_when_guest_known(self, rule: ForwardRule, sock, deadline: float) -> None:
@@ -698,7 +716,7 @@ class UserNetStack:
         if guest_ip is not None and guest_mac is None:
             self._send_arp_request(guest_ip)
         if guest_ip is None or guest_mac is None:
-            if time.monotonic() >= deadline:
+            if self.loop.time() >= deadline:
                 sock.close()
                 self.drop_counts["fwd_no_guest"] += 1
                 return

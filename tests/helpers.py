@@ -1,4 +1,11 @@
-"""Shared test utilities."""
+"""Shared test utilities.
+
+Protocol tests run the real code on the test thread: an unstarted
+``Instance`` (or a NAT stack alone) whose real ``EventLoop`` reads a
+``VirtualClock``.  ``step`` runs one pass of the loop; ``advance`` moves the
+clock and runs each timer at its deadline.  No test double stands in for
+the loop, the device, the guest or the NAT.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,11 @@ import socket
 import threading
 import time
 
+from emunet.eventloop import EventLoop
 from emunet.guest import GuestConfig
-from emunet.harness import Instance, pump
+from emunet.harness import Instance
 from emunet.usernet import ForwardRule, NicConfig, UserNetStack
+from emunet.wire import decode_frame
 
 
 def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
@@ -55,93 +64,97 @@ class LogCollector:
             return [line for line in self.lines if needle in line]
 
 
-class ManualLoop:
-    """Event loop stand-in for single-threaded unit tests."""
+class VirtualClock:
+    """A loop's clock that moves only when ``advance`` moves it."""
 
     def __init__(self):
-        self.posted = []
-        self.timers = []
+        self.now = 0.0
 
-    def post(self, fn) -> None:
-        self.posted.append(fn)
-
-    def call_later(self, delay, fn):
-        from emunet.eventloop import Timer
-
-        timer = Timer(delay, fn)
-        self.timers.append(timer)
-        return timer
-
-    def watch(self, sock, events, fn=None) -> None:
-        pass  # no selector: tests drive socket events by hand
-
-    def run_pending(self) -> int:
-        count = 0
-        while self.posted:
-            self.posted.pop(0)()
-            count += 1
-        return count
-
-    def fire_timers(self) -> int:
-        timers, self.timers = self.timers, []
-        count = 0
-        for timer in timers:
-            if not timer.cancelled:
-                timer.fn()
-                count += 1
-        return count
+    def __call__(self) -> float:
+        return self.now
 
 
-class SyncPair:
-    """Guest + device + NAT stack pumped synchronously on the test thread.
+def stepped_loop(idle_hook) -> EventLoop:
+    """A real, unstarted EventLoop on a VirtualClock, stepped by ``step``."""
+    loop = EventLoop(idle_hook)
+    loop.time = VirtualClock()
+    return loop
 
-    No event loop threads and no host sockets: suitable for deterministic
-    protocol-level tests.  Frames the guest transmits are both recorded and
-    handed to the NAT stack.
+
+def step(loop: EventLoop, fn=None) -> None:
+    """Post ``fn``, if any, and run one pass of the loop without waiting;
+    a callback that raises fails the test."""
+    errors = loop.errors
+    if fn is not None:
+        loop.post(fn)
+    loop.run_once(0)
+    assert loop.errors == errors, "a callback on the loop raised"
+
+
+def advance(loop: EventLoop, seconds: float) -> None:
+    """Move the loop's virtual clock on by ``seconds``, stepping the loop at
+    each timer's deadline in turn, as QEMU's qtest ``clock_step`` does."""
+    clock = loop.time
+    end = clock.now + seconds
+    while loop._timers and loop._timers[0].deadline <= end:
+        clock.now = max(clock.now, loop._timers[0].deadline)
+        step(loop)
+    clock.now = end
+    step(loop)
+
+
+def timers(loop: EventLoop) -> list:
+    """The timers a loop holds that are not cancelled, soonest first."""
+    return sorted(timer for timer in loop._timers if not timer.cancelled)
+
+
+def nat_stack(forwards=None) -> UserNetStack:
+    """A NAT stack alone on a stepped loop.  Its idle hook is the NAT's half
+    of the instance's settle pass, so frames toward the guest wait in the
+    stack for ``poll_frames_out``."""
+    stack = UserNetStack(
+        NicConfig(model="open_eth", id="t0", forwards=forwards or []),
+        stepped_loop(lambda: stack.send_to_host()),
+    )
+    return stack
+
+
+def stepped_instance(mode: str = "http", trace=None) -> Instance:
+    """An unstarted Instance on a virtual clock, run on the test thread by
+    ``boot``, ``inject``, ``step`` and ``advance``.
+
+    It records, as attributes: ``log``, the guest's stdout; ``guest_tx`` and
+    ``guest_tx_raw``, the frames the guest transmitted, decoded and raw; and
+    ``usernet_tx``, the frames the NAT stack sent toward the guest.
     """
+    instance, log, _port = make_instance(mode=mode, trace=trace, forwards=[])
+    instance.log = log
+    instance.loop.time = VirtualClock()
+    instance.guest_tx, instance.guest_tx_raw, instance.usernet_tx = [], [], []
+    to_nat, poll = instance.device.backend_send, instance.usernet.poll_frames_out
 
-    def __init__(self, mode: str = "http", trace=None, forwards=None):
-        from emunet.device import GuestMemory, MacDevice
-        from emunet.guest import GuestConfig, GuestStack
-        from emunet.wire import decode_frame
+    def from_guest(raw: bytes) -> None:
+        instance.guest_tx_raw.append(raw)
+        instance.guest_tx.append(decode_frame(raw))
+        to_nat(raw)
 
-        self.loop = ManualLoop()
-        self.log = LogCollector()
-        self.guest_tx: list = []  # decoded frames out of the guest
-        self.guest_tx_raw: list[bytes] = []
-        self.usernet_tx: list = []  # frames the NAT stack sent toward the guest
-        self.memory = GuestMemory()
-        self.device = MacDevice(self.memory, backend_send=self._from_guest, trace=trace)
-        self.usernet = UserNetStack(
-            NicConfig(model="open_eth", id="sync", forwards=forwards or []), self.loop
-        )
-        self.usernet.poll_frames_out = self._poll_and_record
-        self.guest = GuestStack(self.device, self.memory, GuestConfig(mode=mode), log=self.log)
-        self._decode_frame = decode_frame
-
-    def _from_guest(self, raw: bytes) -> None:
-        frame = self._decode_frame(raw)
-        self.guest_tx_raw.append(raw)
-        self.guest_tx.append(frame)
-        self.usernet.guest_frame_in(frame)
-
-    def _poll_and_record(self) -> list:
-        frames = UserNetStack.poll_frames_out(self.usernet)
-        self.usernet_tx.extend(frames)
+    def poll_and_record() -> list:
+        frames = poll()
+        instance.usernet_tx.extend(frames)
         return frames
 
-    def pump(self) -> None:
-        pump(self.usernet, self.device, self.guest)
+    instance.device.backend_send = from_guest
+    instance.usernet.poll_frames_out = poll_and_record
+    return instance
 
-    def boot(self) -> None:
-        self.device.reset()
-        self.guest.start()
-        self.pump()
 
-    def inject(self, frame) -> None:
-        """Deliver one frame toward the guest and pump to quiescence."""
-        self.device.receive(frame)
-        self.pump()
+def boot(instance: Instance) -> None:
+    step(instance.loop, instance._boot)
+
+
+def inject(instance: Instance, frame) -> None:
+    """Deliver one frame toward the guest on the loop, which pumps to quiescence."""
+    step(instance.loop, lambda: instance.device.receive(frame))
 
 
 def make_instance(

@@ -59,6 +59,13 @@ class TestParseRun:
             parse_cli(["run", "-drive", "file=x,if=mtd,format=raw", "-s"])
         assert "unsupported" in capsys.readouterr().err
 
+    def test_udp_forward_rejected_with_message(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_cli(["run", "-drive", "file=x,if=mtd,format=raw",
+                       "-nic", "user,model=open_eth,hostfwd=udp::5000-:5000"])
+        assert excinfo.value.code == 2
+        assert "udp forwarding is not supported" in capsys.readouterr().err
+
 
 class TestParseBench:
     def test_field_mapping(self):

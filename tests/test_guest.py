@@ -6,11 +6,9 @@ import pytest
 
 from emunet import device as dev
 from emunet import trace
-from emunet.device import GuestMemory, MacDevice, Phy
+from emunet.device import Phy
 from emunet.guest import (
     DriverInitError,
-    GuestConfig,
-    GuestStack,
     RX_SLOTS,
     TX_SLOTS,
     http_handle,
@@ -37,7 +35,7 @@ from emunet.wire import (
     encode_tcp,
     ip_to_bytes,
 )
-from helpers import SyncPair
+from helpers import boot, inject, stepped_instance
 
 GATEWAY_MAC = MacAddress.parse("52:55:0a:00:02:02")
 GATEWAY_IP = ip_to_bytes("10.0.2.2")
@@ -77,36 +75,33 @@ class TestHttpHandle:
 class TestDriverInit:
     def test_first_trace_event_is_mii_read(self):
         sink = io.StringIO()
-        pair = SyncPair(trace=trace.enable(["open_eth*"], sink))
-        pair.boot()
+        inst = stepped_instance(trace=trace.enable(["open_eth*"], sink))
+        boot(inst)
         events = [line.split()[0] for line in sink.getvalue().splitlines()]
         assert events[0] == "open_eth_mii_read"
 
     def test_mac_registers_reflect_driver_mac(self):
-        pair = SyncPair()
-        pair.boot()
-        assert pair.device.programmed_mac() == pair.guest.mac.octets
+        inst = stepped_instance()
+        boot(inst)
+        assert inst.device.programmed_mac() == inst.guest.mac.octets
 
     def test_all_rx_slots_empty_after_init(self):
-        memory = GuestMemory()
-        device = MacDevice(memory)
-        guest = GuestStack(device, memory)
-        guest.driver.init()
+        inst = stepped_instance()
+        inst.guest.driver.init()
         for i in range(RX_SLOTS):
-            len_flags, _ = device.desc_read(TX_SLOTS + i)
+            len_flags, _ = inst.device.desc_read(TX_SLOTS + i)
             assert len_flags & dev.BD_EMPTY
 
     def test_link_down_is_init_error(self):
-        memory = GuestMemory()
-        device = MacDevice(memory, phy=_DownPhy())
-        guest = GuestStack(device, memory)
+        inst = stepped_instance()
+        inst.device.phy = _DownPhy()
         with pytest.raises(DriverInitError):
-            guest.driver.init()
+            inst.guest.driver.init()
 
     def test_init_ordering_contract(self):
         sink = io.StringIO()
-        pair = SyncPair(trace=trace.enable(["open_eth*"], sink))
-        pair.boot()
+        inst = stepped_instance(trace=trace.enable(["open_eth*"], sink))
+        boot(inst)
         events = [line.split()[0] for line in sink.getvalue().splitlines()]
         assert events.index("open_eth_mii_read") < events.index("open_eth_desc_write")
         assert events.index("open_eth_desc_write") < events.index("open_eth_start_xmit")
@@ -114,65 +109,61 @@ class TestDriverInit:
 
 class TestDhcpBinding:
     def test_guest_binds_dot_15_and_logs(self):
-        pair = SyncPair()
-        pair.boot()
-        assert pair.guest.ip == GUEST_IP
-        bind_lines = pair.log.matching("bound to 10.0.2.15")
+        inst = stepped_instance()
+        boot(inst)
+        assert inst.guest.ip == GUEST_IP
+        bind_lines = inst.log.matching("bound to 10.0.2.15")
         assert len(bind_lines) == 1
         assert "interface eth0" in bind_lines[0]
-        assert pair.log.matching("listening on port 80")
+        assert inst.log.matching("listening on port 80")
 
     def test_gateway_learned(self):
-        pair = SyncPair()
-        pair.boot()
-        assert pair.guest.gateway_ip == GATEWAY_IP
-        assert pair.guest.arp_table.get(GATEWAY_IP) == GATEWAY_MAC
+        inst = stepped_instance()
+        boot(inst)
+        assert inst.guest.gateway_ip == GATEWAY_IP
+        assert inst.guest.arp_table.get(GATEWAY_IP) == GATEWAY_MAC
 
     def test_banner_logged_first(self):
-        from emunet.device import GuestMemory as GM, MacDevice as MD
-
-        lines = []
-        memory = GM()
-        device = MD(memory)
-        guest = GuestStack(device, memory, GuestConfig(banner="hello from guest"), log=lines.append)
-        guest.start()
-        assert lines[0] == "hello from guest"
+        inst = stepped_instance()
+        inst.guest.config.banner = "hello from guest"
+        boot(inst)
+        assert inst.log.lines[0] == "hello from guest"
 
 
 class TestArpResponder:
     def test_who_has_guest_ip_answered_with_driver_mac(self):
-        pair = SyncPair()
-        pair.boot()
-        sent_before = len(pair.guest_tx)
+        inst = stepped_instance()
+        boot(inst)
+        sent_before = len(inst.guest_tx)
         request = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GATEWAY_MAC, sender_ip=GATEWAY_IP,
             target_mac=MacAddress(b"\x00" * 6), target_ip=GUEST_IP,
         )
-        pair.inject(EthernetFrame(pair.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
-        replies = [f for f in pair.guest_tx[sent_before:] if f.ethertype == ETHERTYPE_ARP]
+        inject(inst, EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
+        replies = [f for f in inst.guest_tx[sent_before:] if f.ethertype == ETHERTYPE_ARP]
         assert len(replies) == 1
         reply = decode_arp(replies[0].payload)
         assert reply.op == ARP_OP_REPLY
-        assert reply.sender_mac == pair.guest.mac
+        assert reply.sender_mac == inst.guest.mac
         assert reply.sender_ip == GUEST_IP
 
     def test_who_has_other_ip_ignored(self):
-        pair = SyncPair()
-        pair.boot()
-        sent_before = len(pair.guest_tx)
+        inst = stepped_instance()
+        boot(inst)
+        sent_before = len(inst.guest_tx)
         request = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GATEWAY_MAC, sender_ip=GATEWAY_IP,
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.77"),
         )
-        pair.inject(EthernetFrame(pair.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
-        assert len(pair.guest_tx) == sent_before
+        inject(inst, EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
+        assert len(inst.guest_tx) == sent_before
 
 
 class _FakeClient:
     """Minimal TCP endpoint used to drive the guest listener from tests."""
 
-    def __init__(self, pair: SyncPair, src_port: int = 49321, dst_port: int = 80):
-        self.pair = pair
+    def __init__(self, inst, src_port: int = 49321, dst_port: int = 80):
+        self.inst = inst
         self.src_port = src_port
         self.dst_port = dst_port
         self.seq = 1000
@@ -180,7 +171,7 @@ class _FakeClient:
         self.received = bytearray()
         self.saw_fin = False
         self.saw_rst = False
-        self._cursor = len(pair.guest_tx)
+        self._cursor = len(inst.guest_tx)
 
     def _send(self, **kwargs):
         seg = TcpSegment(
@@ -189,14 +180,14 @@ class _FakeClient:
         )
         payload = encode_tcp(seg, GATEWAY_IP, GUEST_IP)
         pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, payload)
-        self.pair.inject(
-            EthernetFrame(self.pair.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+        inject(self.inst, 
+            EthernetFrame(self.inst.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
         )
         self.seq = seq_add(self.seq, len(seg.payload) + (1 if seg.syn or seg.fin else 0))
         self._collect()
 
     def _collect(self):
-        for frame in self.pair.guest_tx[self._cursor:]:
+        for frame in self.inst.guest_tx[self._cursor:]:
             self._cursor += 1
             if frame.ethertype != ETHERTYPE_IPV4:
                 continue
@@ -233,22 +224,22 @@ class _FakeClient:
 
 class TestGuestTcpAndHttp:
     def test_syn_to_listener_gets_syn_ack(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair)
-        before = len(pair.guest_tx)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
+        before = len(inst.guest_tx)
         client._send(syn=True)
         replies = [
             decode_tcp(decode_ipv4(f.payload).payload, GUEST_IP, GATEWAY_IP)
-            for f in pair.guest_tx[before:]
+            for f in inst.guest_tx[before:]
             if f.ethertype == ETHERTYPE_IPV4
         ]
         assert any(seg.syn and seg.ack_flag for seg in replies)
 
     def test_full_http_exchange(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"GET /hello HTTP/1.1\r\nHost: guest\r\n\r\n")
         client._send(ack_flag=True)
@@ -256,29 +247,29 @@ class TestGuestTcpAndHttp:
         assert text.startswith(b"HTTP/1.1 200 OK\r\n")
         assert text.endswith(b"Hello World!")
         assert client.saw_fin  # connection: close semantics
-        assert pair.log.matching("served GET /hello")
-        assert pair.guest.served_count == 1
+        assert inst.log.matching("served GET /hello")
+        assert inst.guest.served_count == 1
 
     def test_404_path(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair, src_port=49999)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst, src_port=49999)
         client.open()
         client.push(b"GET /goodbye HTTP/1.1\r\n\r\n")
         assert bytes(client.received).startswith(b"HTTP/1.1 404")
 
     def test_bad_request_line(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair, src_port=50000)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst, src_port=50000)
         client.open()
         client.push(b"garbage\r\n\r\n")
         assert bytes(client.received).startswith(b"HTTP/1.1 400")
 
     def test_declared_body_over_the_cap_gets_413_and_nothing_else(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair, src_port=50001)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst, src_port=50001)
         client.open()
         client.push(b"POST /hello HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n")
         client.push(b"x" * 1000)  # the start of the body
@@ -288,26 +279,26 @@ class TestGuestTcpAndHttp:
         assert client.saw_fin
 
     def test_syn_to_closed_port_gets_rst(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair, dst_port=8125)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst, dst_port=8125)
         client._send(syn=True)
         assert client.saw_rst
 
     def test_two_sequential_requests_two_log_lines(self):
-        pair = SyncPair()
-        pair.boot()
+        inst = stepped_instance()
+        boot(inst)
         for port in (51000, 51001):
-            client = _FakeClient(pair, src_port=port)
+            client = _FakeClient(inst, src_port=port)
             client.open()
             client.push(b"GET /hello HTTP/1.1\r\n\r\n")
             client.finish()
-        assert len(pair.log.matching("served GET /hello")) == 2
+        assert len(inst.log.matching("served GET /hello")) == 2
 
     def test_echo_mode(self):
-        pair = SyncPair(mode="echo")
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance(mode="echo")
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"bounce me")
         assert bytes(client.received) == b"bounce me"
@@ -315,9 +306,9 @@ class TestGuestTcpAndHttp:
     def test_response_bytes_stable_across_runs(self):
         outputs = []
         for _ in range(2):
-            pair = SyncPair()
-            pair.boot()
-            client = _FakeClient(pair)
+            inst = stepped_instance()
+            boot(inst)
+            client = _FakeClient(inst)
             client.open()
             client.push(b"GET /hello HTTP/1.1\r\n\r\n")
             outputs.append(bytes(client.received))
@@ -326,49 +317,49 @@ class TestGuestTcpAndHttp:
 
 class TestInvariants:
     def test_guest_frames_all_decode_and_verify(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"GET /hello HTTP/1.1\r\n\r\n")
         client.finish()
-        assert pair.guest_tx, "no frames were captured"
-        for raw in pair.guest_tx_raw:
+        assert inst.guest_tx, "no frames were captured"
+        for raw in inst.guest_tx_raw:
             assert 60 <= len(raw) <= 1514
-        for frame in pair.guest_tx:
+        for frame in inst.guest_tx:
             if frame.ethertype == ETHERTYPE_IPV4:
                 pkt = decode_ipv4(frame.payload)  # raises on checksum mismatch
                 if pkt.protocol == IPPROTO_TCP:
                     decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
 
     def test_usernet_frames_all_decode_and_verify(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"GET /hello HTTP/1.1\r\n\r\n")
         client.finish()
-        assert pair.usernet_tx, "the NAT stack sent nothing"
-        for frame in pair.usernet_tx:
+        assert inst.usernet_tx, "the NAT stack sent nothing"
+        for frame in inst.usernet_tx:
             if frame.ethertype == ETHERTYPE_IPV4:
                 pkt = decode_ipv4(frame.payload)
                 if pkt.protocol == IPPROTO_TCP:
                     decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
 
     def test_conservation_guest_to_usernet(self):
-        pair = SyncPair()
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"GET /hello HTTP/1.1\r\n\r\n")
-        assert pair.device.tx_frame_count == len(pair.guest_tx)
-        assert pair.usernet.frames_from_guest == len(pair.guest_tx)
+        assert inst.device.tx_frame_count == len(inst.guest_tx)
+        assert inst.usernet.frames_from_guest == len(inst.guest_tx)
 
     def test_phase_ordering_with_one_request(self):
         sink = io.StringIO()
-        pair = SyncPair(trace=trace.enable(["open_eth*"], sink))
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance(trace=trace.enable(["open_eth*"], sink))
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"GET /hello HTTP/1.1\r\n\r\n")
         events = [line.split()[0] for line in sink.getvalue().splitlines()]
@@ -379,39 +370,32 @@ class TestInvariants:
 
 class TestOutOfOrder:
     def test_out_of_order_segment_gets_duplicate_ack(self):
-        from emunet.eventloop import EventLoop
-
-        pair = SyncPair(mode="echo")
-        pair.boot()
-        client = _FakeClient(pair)
+        inst = stepped_instance(mode="echo")
+        boot(inst)
+        client = _FakeClient(inst)
         client.open()
         client.push(b"in order")
-        conn = next(iter(pair.guest.conns.values()))
-        rcv_nxt, data_events = conn.rcv_nxt, pair.guest.app_data_events
-        cursor = len(pair.guest_tx)
+        conn = next(iter(inst.guest.conns.values()))
+        rcv_nxt, data_events = conn.rcv_nxt, inst.guest.app_data_events
+        cursor = len(inst.guest_tx)
         gap = TcpSegment(
             src_port=client.src_port, dst_port=client.dst_port,
             seq=seq_add(client.seq, 100), ack=client.ack, ack_flag=True, window=8192,
             payload=b"ahead of the stream",
         )
         pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, encode_tcp(gap, GATEWAY_IP, GUEST_IP))
-        frame = EthernetFrame(pair.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
-        # run it as an instance would: on an event loop that counts exceptions
-        loop = EventLoop()
-        loop.start()
-        loop.post(lambda: pair.inject(frame))
-        loop.stop()
-        loop.join(timeout=5)
-        assert loop.errors == 0
-        replies = [decode_ipv4(f.payload) for f in pair.guest_tx[cursor:]]
+        frame = EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+        inject(inst, frame)  # on the instance's loop, which counts exceptions
+        assert inst.loop.errors == 0
+        replies = [decode_ipv4(f.payload) for f in inst.guest_tx[cursor:]]
         assert len(replies) == 1
         dup = decode_tcp(replies[0].payload, GUEST_IP, GATEWAY_IP)
         # a bare duplicate ACK, even though ACKs otherwise ride on data
         assert dup.ack_flag and not dup.payload and not (dup.syn or dup.fin or dup.rst)
         assert dup.ack == rcv_nxt
-        assert pair.guest.drop_counts == {"tcp_out_of_order": 1}
+        assert inst.guest.drop_counts == {"tcp_out_of_order": 1}
         assert conn.rcv_nxt == rcv_nxt
-        assert pair.guest.app_data_events == data_events
+        assert inst.guest.app_data_events == data_events
 
 
 class TestLayering:
@@ -434,22 +418,22 @@ class TestArpQueue:
     def test_packets_to_an_unresolved_next_hop_are_capped(self):
         from emunet.guest import ARP_QUEUE_MAX
 
-        pair = SyncPair()
-        pair.boot()
+        inst = stepped_instance()
+        boot(inst)
         host, host_mac = ip_to_bytes("10.0.2.40"), MacAddress.parse("52:54:00:aa:bb:cc")
         packets = [
             encode_ipv4(Ipv4Packet(GUEST_IP, host, IPPROTO_TCP, b"", ident=i)) for i in range(20)
         ]
         for raw in packets:
-            pair.guest._route_ipv4(host, raw)
-        assert pair.guest.arp_pending[host] == packets[-ARP_QUEUE_MAX:]  # the newest stay
-        assert pair.guest.drop_counts["arp_queue_full"] == 20 - ARP_QUEUE_MAX
+            inst.guest._route_ipv4(host, raw)
+        assert inst.guest.arp_pending[host] == packets[-ARP_QUEUE_MAX:]  # the newest stay
+        assert inst.guest.drop_counts["arp_queue_full"] == 20 - ARP_QUEUE_MAX
         reply = ArpPacket(
             op=ARP_OP_REPLY, sender_mac=host_mac, sender_ip=host,
-            target_mac=pair.guest.mac, target_ip=GUEST_IP,
+            target_mac=inst.guest.mac, target_ip=GUEST_IP,
         )
-        sent_before = len(pair.guest_tx)
-        pair.inject(EthernetFrame(pair.guest.mac, host_mac, ETHERTYPE_ARP, encode_arp(reply)))
-        flushed = [f.payload[:20] for f in pair.guest_tx[sent_before:] if f.dst == host_mac]
+        sent_before = len(inst.guest_tx)
+        inject(inst, EthernetFrame(inst.guest.mac, host_mac, ETHERTYPE_ARP, encode_arp(reply)))
+        flushed = [f.payload[:20] for f in inst.guest_tx[sent_before:] if f.dst == host_mac]
         assert flushed == [raw[:20] for raw in packets[-ARP_QUEUE_MAX:]]
-        assert host not in pair.guest.arp_pending
+        assert host not in inst.guest.arp_pending

@@ -12,7 +12,9 @@ import pytest
 from emunet import trace
 from emunet.usernet import ForwardRule, NicConfig
 from emunet.wire import ip_to_bytes
-from helpers import LogCollector, free_port, http_get, make_instance, wait_for
+from helpers import (
+    LogCollector, boot, free_port, http_get, make_instance, stepped_instance, stepped_loop, wait_for
+)
 
 
 @pytest.fixture
@@ -413,7 +415,6 @@ class TestImageBoot:
 class TestPump:
     def test_pump_that_never_quiesces_raises_into_the_loop_errors(self, monkeypatch):
         from emunet import harness
-        from emunet.eventloop import EventLoop
 
         class Net:
             def poll_frames_out(self):
@@ -432,9 +433,23 @@ class TestPump:
         with pytest.raises(RuntimeError, match="quiesce"):
             harness.pump(Net(), Device(), Guest())
         assert Guest.steps == 50
-        loop = EventLoop(idle_hook=lambda: harness.pump(Net(), Device(), Guest()))
-        loop.start()
+        loop = stepped_loop(lambda: harness.pump(Net(), Device(), Guest()))
         loop.post(lambda: None)
-        loop.stop()
-        loop.join(timeout=5)
+        loop.run_once(0)
         assert loop.errors == 1  # counted, as an Instance's loop would count it
+
+
+class TestGuestRam:
+    def test_16_booted_instances_add_under_half_a_megabyte_of_rss_each(self):
+        import os
+
+        def rss() -> int:
+            with open("/proc/self/statm") as statm:
+                return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = rss()
+        instances = [stepped_instance() for _ in range(16)]
+        for instance in instances:
+            boot(instance)
+        assert all(instance.guest.ip is not None for instance in instances)
+        assert (rss() - before) / len(instances) < 0.5 * 1024 * 1024  # of 4 MiB of guest RAM each

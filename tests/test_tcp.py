@@ -4,14 +4,15 @@ Each test runs against the NAT's flow toward the guest and against the
 guest's own connection: the same ``TcpEndpoint`` code serves both.
 """
 
+import socket
+
 import pytest
 
-from emunet.device import GuestMemory, MacDevice
-from emunet.guest import GuestStack, GuestTcpConn
+from emunet.guest import GuestTcpConn
 from emunet.tcp import seq_add
-from emunet.usernet import NatFlow, NicConfig, UserNetStack
+from emunet.usernet import NatFlow
 from emunet.wire import TcpSegment, ip_to_bytes
-from helpers import ManualLoop
+from helpers import nat_stack, stepped_instance
 
 PEER_ISS = 7000  # the far end's initial sequence number
 
@@ -43,7 +44,7 @@ class _End:
         self.sent = []
         self.peer_nxt = seq_add(PEER_ISS, 1)
         if kind == "nat":  # the NAT opens toward a listening guest
-            self.stack = UserNetStack(NicConfig(model="open_eth"), ManualLoop())
+            self.stack = nat_stack()
             self.ep = NatFlow(
                 self.stack, guest_ip=ip_to_bytes("10.0.2.15"), guest_port=80,
                 remote_ip=ip_to_bytes("10.0.2.2"), remote_port=49152,
@@ -53,11 +54,11 @@ class _End:
             self.events = []  # what the flow would send to its host socket
             self.ep._deliver = lambda data: self.events.append(("data", bytes(data)))
             self.ep._deliver_eof = lambda: self.events.append(("eof",))
-            self.ep.start_inbound(None)  # no host socket here
+            self.host, self.far = socket.socketpair()  # the selector needs a real socket
+            self.ep.start_inbound(self.host)
             self.peer_in(PEER_ISS, syn=True)
         else:  # the guest accepts a connection
-            memory = GuestMemory()
-            self.stack = GuestStack(MacDevice(memory), memory, log=lambda _line: None)
+            self.stack = stepped_instance().guest
             self.ep = GuestTcpConn(self.stack, 80, ip_to_bytes("10.0.2.2"), 49152, _Recorder)
             self.stack.conns[self.ep.key] = self.ep
             self.ep._emit = self.sent.append
@@ -96,7 +97,11 @@ class _End:
 
 @pytest.fixture(params=["nat", "guest"])
 def end(request):
-    return _End(request.param)
+    end = _End(request.param)
+    yield end
+    if end.kind == "nat":
+        end.host.close()
+        end.far.close()
 
 
 def _bare_ack(seg):

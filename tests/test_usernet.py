@@ -37,15 +37,10 @@ from emunet.wire import (
     encode_tcp,
     ip_to_bytes,
 )
-from helpers import ManualLoop, ipv4_with_flags
+from helpers import advance, ipv4_with_flags, nat_stack, step, stepped_loop, timers
 
 GUEST_MAC = MacAddress.parse("52:54:00:12:34:56")
 GUEST_MAC2 = MacAddress.parse("52:54:00:12:34:57")
-
-
-def make_stack(forwards=None):
-    config = NicConfig(model="open_eth", id="t0", forwards=forwards or [])
-    return UserNetStack(config, ManualLoop())
 
 
 class TestParseNicConfig:
@@ -90,9 +85,9 @@ class TestParseNicConfig:
         assert len(config.forwards) == 2
         assert config.forwards[1] == ForwardRule("tcp", "127.0.0.1", 9000, "10.0.2.15", 81)
 
-    def test_udp_rule_parses(self):
-        config = parse_nic_config("user,model=open_eth,hostfwd=udp::5000-:5000")
-        assert config.forwards[0].proto == "udp"
+    def test_udp_rule_rejected(self):
+        with pytest.raises(NicConfigError, match="udp forwarding is not supported"):
+            parse_nic_config("user,model=open_eth,hostfwd=udp::5000-:5000")
 
     def test_malformed_rule(self):
         with pytest.raises(NicConfigError, match="hostfwd"):
@@ -114,20 +109,20 @@ class TestDhcpServer:
         )
 
     def test_first_discover_offers_dot_15(self):
-        stack = make_stack()
+        stack = nat_stack()
         offer = stack.dhcp_step(self.discover())
         assert offer.message_type == DHCP_OFFER
         assert offer.your_ip == ip_to_bytes("10.0.2.15")
         assert offer.server_id == ip_to_bytes("10.0.2.2")
 
     def test_second_client_offers_dot_16(self):
-        stack = make_stack()
+        stack = nat_stack()
         stack.dhcp_step(self.discover())
         offer2 = stack.dhcp_step(self.discover(mac=GUEST_MAC2, xid=0x99))
         assert offer2.your_ip == ip_to_bytes("10.0.2.16")
 
     def test_lease_monotonicity(self):
-        stack = make_stack()
+        stack = nat_stack()
         for k in range(8):
             mac = MacAddress(bytes([0x52, 0x54, 0, 0, 0, k]))
             offer = stack.dhcp_step(self.discover(mac=mac, xid=k))
@@ -136,13 +131,13 @@ class TestDhcpServer:
             assert ack.your_ip == bytes([10, 0, 2, 15 + k])
 
     def test_request_unoffered_address_naks(self):
-        stack = make_stack()
+        stack = nat_stack()
         stack.dhcp_step(self.discover())
         nak = stack.dhcp_step(self.request(ip_to_bytes("10.0.2.99")))
         assert nak.message_type == DHCP_NAK
 
     def test_ack_carries_mask_router_lease(self):
-        stack = make_stack()
+        stack = nat_stack()
         offer = stack.dhcp_step(self.discover())
         ack = stack.dhcp_step(self.request(offer.your_ip))
         assert ack.subnet_mask == ip_to_bytes("255.255.255.0")
@@ -150,21 +145,21 @@ class TestDhcpServer:
         assert ack.lease_time == 86400
 
     def test_renewal_is_fresh_ack(self):
-        stack = make_stack()
+        stack = nat_stack()
         offer = stack.dhcp_step(self.discover())
         stack.dhcp_step(self.request(offer.your_ip))
         again = stack.dhcp_step(self.request(offer.your_ip))
         assert again.message_type == DHCP_ACK
 
     def test_rediscover_keeps_same_lease(self):
-        stack = make_stack()
+        stack = nat_stack()
         offer = stack.dhcp_step(self.discover())
         stack.dhcp_step(self.request(offer.your_ip))
         offer2 = stack.dhcp_step(self.discover())
         assert offer2.your_ip == offer.your_ip
 
     def test_first_lease_tracks_allocation_order(self):
-        stack = make_stack()
+        stack = nat_stack()
         assert stack.first_lease() is None
         offer = stack.dhcp_step(self.discover())
         stack.dhcp_step(self.request(offer.your_ip))
@@ -179,7 +174,7 @@ def guest_frame(payload, ethertype=ETHERTYPE_IPV4, src=GUEST_MAC):
 
 class TestGuestFrameIn:
     def test_arp_who_has_gateway_answered(self):
-        stack = make_stack()
+        stack = nat_stack()
         request = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GUEST_MAC, sender_ip=ip_to_bytes("10.0.2.15"),
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.2"),
@@ -194,7 +189,7 @@ class TestGuestFrameIn:
         assert frames[0].dst == GUEST_MAC
 
     def test_arp_for_dns_answered(self):
-        stack = make_stack()
+        stack = nat_stack()
         request = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GUEST_MAC, sender_ip=ip_to_bytes("10.0.2.15"),
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.3"),
@@ -203,7 +198,7 @@ class TestGuestFrameIn:
         assert len(stack.poll_frames_out()) == 1
 
     def test_arp_for_other_host_unanswered(self):
-        stack = make_stack()
+        stack = nat_stack()
         request = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GUEST_MAC, sender_ip=ip_to_bytes("10.0.2.15"),
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.40"),
@@ -212,7 +207,7 @@ class TestGuestFrameIn:
         assert stack.poll_frames_out() == []
 
     def test_unknown_flow_dropped_with_counter(self):
-        stack = make_stack()
+        stack = nat_stack()
         seg = TcpSegment(5555, 80, seq=1, ack=7, ack_flag=True, payload=b"sneak")
         src, dst = ip_to_bytes("10.0.2.15"), ip_to_bytes("10.0.2.2")
         pkt = Ipv4Packet(src_ip=src, dst_ip=dst, protocol=IPPROTO_TCP,
@@ -223,7 +218,7 @@ class TestGuestFrameIn:
         assert stack.poll_frames_out() == []
 
     def test_dhcp_over_frames(self):
-        stack = make_stack()
+        stack = nat_stack()
         from emunet.wire import UdpDatagram, encode_dhcp, encode_udp
 
         msg = DhcpMessage(op=1, xid=5, client_mac=GUEST_MAC, message_type=DHCP_DISCOVER)
@@ -242,10 +237,10 @@ class TestGuestFrameIn:
         assert frames[0].dst == GUEST_MAC
 
     def test_poll_frames_empty(self):
-        assert make_stack().poll_frames_out() == []
+        assert nat_stack().poll_frames_out() == []
 
     def test_interleaved_responses_fifo(self):
-        stack = make_stack()
+        stack = nat_stack()
         from emunet.wire import UdpDatagram, encode_dhcp, encode_udp
 
         arp_req = ArpPacket(
@@ -266,7 +261,7 @@ class TestGuestFrameIn:
         assert frames[1].ethertype == ETHERTYPE_IPV4
 
     def test_bad_ipv4_checksum_counted(self):
-        stack = make_stack()
+        stack = nat_stack()
         seg = TcpSegment(1, 2, 3, 4)
         src, dst = ip_to_bytes("10.0.2.15"), ip_to_bytes("1.2.3.4")
         raw = bytearray(encode_ipv4(Ipv4Packet(src, dst, IPPROTO_TCP, encode_tcp(seg, src, dst))))
@@ -276,14 +271,14 @@ class TestGuestFrameIn:
 
 
 class TestFlowTimers:
-    """Retransmission and handshake-timeout policy, driven by manual timers."""
+    """Retransmission, handshake-timeout and drain policy, on the loop's virtual clock."""
 
     def _flow_with_socketpair(self):
         import socket as socket_mod
 
         from emunet.usernet import NatFlow
 
-        stack = make_stack()
+        stack = nat_stack()
         stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
         near, far = socket_mod.socketpair()
         flow = NatFlow(
@@ -305,6 +300,8 @@ class TestFlowTimers:
         return out
 
     def test_unanswered_syn_retransmitted_then_reset(self):
+        from emunet.usernet import RETRANSMIT_S
+
         stack, flow, far = self._flow_with_socketpair()
         far.settimeout(5)
         flow._handshake_timer.cancel()  # isolate the retransmit policy
@@ -313,7 +310,7 @@ class TestFlowTimers:
         syn_count = 1
         rst_seen = False
         for _ in range(8):
-            stack.loop.fire_timers()
+            advance(stack.loop, RETRANSMIT_S)
             new = self._tcp_frames(stack)
             if flow.state == "closed":
                 rst_seen = any(seg.rst for seg in new)
@@ -352,8 +349,8 @@ class TestFlowTimers:
         stack, flow, far = self._established_flow()
         self._guest_ack(flow, (flow.snd_una + 1000) & 0xFFFFFFFF)  # part of the first segment
         assert len(flow.send_buf) == 2000  # the buffer starts at snd_una
-        flow.progress_at -= RETRANSMIT_S  # as if that ACK came one timeout ago
-        assert stack.loop.fire_timers() == 1
+        assert len(timers(stack.loop)) == 1
+        advance(stack.loop, RETRANSMIT_S)  # one timeout after that ACK
         (seg,) = self._tcp_frames(stack)
         assert seg.seq == flow.snd_una and seg.ack == flow.rcv_nxt and seg.ack_flag
         assert seg.payload == bytes(flow.send_buf[:MSS])
@@ -371,8 +368,7 @@ class TestFlowTimers:
         flow.host_eof_seen()
         (fin,) = self._tcp_frames(stack)
         assert fin.fin
-        flow.progress_at -= RETRANSMIT_S
-        stack.loop.fire_timers()
+        advance(stack.loop, RETRANSMIT_S)
         (again,) = self._tcp_frames(stack)
         assert again.fin and not again.payload and again.ack_flag
         assert again.seq == fin.seq == (flow.snd_nxt - 1) & 0xFFFFFFFF
@@ -385,10 +381,9 @@ class TestFlowTimers:
         from emunet.usernet import MAX_RETRIES, RETRANSMIT_S
 
         stack, flow, far = self._established_flow()
-        flow.progress_at -= RETRANSMIT_S
         resent = 0
         for _ in range(MAX_RETRIES + 2):
-            stack.loop.fire_timers()
+            advance(stack.loop, RETRANSMIT_S)
             new = self._tcp_frames(stack)
             if flow.state == "closed":
                 assert [seg.rst for seg in new] == [True]
@@ -404,22 +399,21 @@ class TestFlowTimers:
         from emunet.usernet import RETRANSMIT_S
 
         stack, flow, far = self._established_flow()
+        advance(stack.loop, 0.3)
         self._guest_ack(flow, (flow.snd_una + 1460) & 0xFFFFFFFF)
         self._tcp_frames(stack)  # the ACK may have let more data out
-        assert stack.loop.fire_timers() == 1  # the timer armed when the data went out
+        assert len(timers(stack.loop)) == 1  # the timer armed when the data went out
+        advance(stack.loop, RETRANSMIT_S - 0.3)  # it fires, 0.2 s after the ACK
         assert self._tcp_frames(stack) == []  # nothing resent
         assert flow.tries == 0
-        (rearmed,) = [t for t in stack.loop.timers if not t.cancelled]
-        assert 0 < rearmed.deadline <= RETRANSMIT_S  # ManualLoop keeps the delay here
-        flow.progress_at -= RETRANSMIT_S
-        stack.loop.fire_timers()
+        (rearmed,) = timers(stack.loop)
+        assert rearmed.deadline == stack.loop.time() + 0.3  # one timeout after the ACK
+        advance(stack.loop, 0.3)
         assert len(self._tcp_frames(stack)) == 1  # the re-armed timer does resend
         flow._teardown()
         far.close()
 
     def test_teardown_sends_all_of_out_buf_before_the_host_sees_eof(self):
-        import selectors
-
         stack, flow, far = self._established_flow()
         flow.sock.setblocking(False)  # as every flow's socket is
         data = bytes(range(256)) * 16384  # 4 MiB: more than the socket pair buffers
@@ -436,9 +430,60 @@ class TestFlowTimers:
         received = bytearray()
         while chunk := far.recv(65536):
             received += chunk
-            flow._on_ready(selectors.EVENT_WRITE)  # as the loop does while a remainder waits
+            step(stack.loop)  # the loop sends more while a remainder waits
         assert received == data
         assert flow.sock is None and not stack._flows
+        assert stack.drop_counts["drain_idle"] == 0
+        far.close()
+
+    def _draining_flow(self):
+        """A torn-down flow with 8 MiB of out_buf left for a host that has read nothing."""
+        stack, flow, far = self._flow_with_socketpair()
+        flow.sock.setblocking(False)  # as every flow's socket is
+        data = bytes(range(256)) * 32768
+
+        def guest_sends_then_resets():  # in one callback, as guest frames arrive
+            flow._deliver(data)
+            flow._teardown()
+
+        step(stack.loop, guest_sends_then_resets)
+        assert flow in stack._draining and flow.out_buf
+        return stack, flow, far, data
+
+    def test_draining_flow_whose_host_never_reads_is_released(self):
+        from emunet.usernet import DRAIN_IDLE_S
+
+        stack, flow, far, _data = self._draining_flow()
+        advance(stack.loop, DRAIN_IDLE_S - 0.01)
+        assert flow.sock is not None and stack.drop_counts["drain_idle"] == 0
+        advance(stack.loop, 0.01)
+        assert flow.sock is None and not stack._draining
+        assert stack.drop_counts["drain_idle"] == 1
+        assert not timers(stack.loop)
+        far.close()
+
+    def test_draining_flow_whose_host_reads_is_not_cut_off(self):
+        from emunet.usernet import DRAIN_IDLE_S
+
+        stack, flow, far, data = self._draining_flow()
+        advance(stack.loop, DRAIN_IDLE_S - 1)
+        received = bytearray()
+        far.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            while True:  # the host takes all that its socket holds
+                received += far.recv(65536)
+        left = len(flow.out_buf)
+        step(stack.loop)  # so the loop sends more
+        assert len(flow.out_buf) < left
+        advance(stack.loop, 1)  # the first deadline passes
+        assert flow.sock is not None and stack.drop_counts["drain_idle"] == 0
+        far.settimeout(5)
+        while chunk := far.recv(65536):
+            received += chunk
+            step(stack.loop)
+        assert received == data
+        assert flow.sock is None and not stack._draining
+        assert stack.drop_counts["drain_idle"] == 0
         far.close()
 
     def test_fragment_is_malformed_and_reaches_no_flow(self):
@@ -475,7 +520,7 @@ class TestFlowTimers:
 
         owner = Owner()
         ref = weakref.ref(owner)
-        timer = EventLoop().call_later(5.0, owner.fire)
+        timer = EventLoop(lambda: None).call_later(5.0, owner.fire)
         timer.cancel()  # as a flow cancels its handshake timer once established
         del owner
         assert ref() is None  # not held until the deadline
@@ -521,10 +566,7 @@ class TestHostReadBackpressure:
     @pytest.mark.parametrize("ending", ["teardown", "stop"])
     def test_send_buf_bounded_while_guest_never_acks(self, ending):
         import socket as socket_mod
-        import threading
-        import time
 
-        from emunet.eventloop import EventLoop
         from emunet.usernet import SEND_BUF_HIGH, NatFlow
 
         sizes = []  # send_buf after each callback the loop ran
@@ -533,11 +575,11 @@ class TestHostReadBackpressure:
             stack.poll_frames_out()
             sizes.append(len(flow.send_buf))
 
-        loop = EventLoop(idle_hook=settle)
-        stack = UserNetStack(NicConfig(model="open_eth", id="t0"), loop)
+        stack = UserNetStack(NicConfig(model="open_eth", id="t0"), stepped_loop(settle))
         stack._arp_table[ip_to_bytes("10.0.2.15")] = GUEST_MAC
         near, far = socket_mod.socketpair()
         near.setblocking(False)
+        far.setblocking(False)
         flow = NatFlow(
             stack,
             guest_ip=ip_to_bytes("10.0.2.15"),
@@ -548,37 +590,30 @@ class TestHostReadBackpressure:
         stack._flows[flow.key] = flow
         flow.sock = near
         flow.state = "established"
-        loop.post(lambda: flow._watch(0))
-        loop.start()
-
-        def write_all():
+        step(stack.loop, lambda: flow._watch(0))
+        data = b"\xa5" * (4 * 1024 * 1024)
+        sent = 0
+        for _ in range(10_000):
             try:
-                far.sendall(b"\xa5" * (4 * 1024 * 1024))
-            except OSError:
-                pass  # closed below, with the rest still unread
-
-        writer = threading.Thread(target=write_all)
-        writer.start()
-        seen = 0
-        idle_since = time.monotonic()
-        deadline = idle_since + 10
-        while time.monotonic() < deadline and (
-            not sizes or sizes[-1] < SEND_BUF_HIGH or time.monotonic() - idle_since < 0.3
-        ):
-            if len(sizes) != seen:
-                seen, idle_since = len(sizes), time.monotonic()
-            time.sleep(0.001)
+                sent += far.send(data[sent:sent + 65536])
+                blocked = False
+            except BlockingIOError:  # the host's socket buffers are full
+                blocked = True
+            callbacks = len(sizes)
+            step(stack.loop)
+            if blocked and len(sizes) == callbacks:
+                break  # the host can send no more and the flow reads no more
+        else:
+            raise AssertionError("the flow never stopped reading")
         assert max(sizes) <= SEND_BUF_HIGH + 64 * 1024
         assert sizes[-1] >= SEND_BUF_HIGH  # stopped at the mark, not before
         if ending == "teardown":
-            loop.post(flow._teardown)
-        loop.stop()
-        loop.join(timeout=5)
-        if ending == "stop":
+            step(stack.loop, flow._teardown)
+        else:
             stack.stop()
         assert near.fileno() == -1  # the host socket is closed
-        writer.join(timeout=5)
-        assert not writer.is_alive()  # its sendall() failed on the closed peer
+        with pytest.raises(OSError):
+            far.send(data[sent:])  # the rest fails on the closed peer
         far.close()
 
 
@@ -590,25 +625,14 @@ class TestListenerLifecycle:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         rule = ForwardRule("tcp", "127.0.0.1", port, "", 80)
-        stack = make_stack([rule])
+        stack = nat_stack([rule])
         stack.start()
         stack.stop()
         with pytest.raises(ConnectionRefusedError):
             socket_mod.create_connection(("127.0.0.1", port), timeout=2).close()
-        again = make_stack([rule])
+        again = nat_stack([rule])
         again.start()  # raises OSError if the old listener still holds the port
         again.stop()
-
-
-class _RecordingLoop(ManualLoop):
-    """ManualLoop that keeps the latest callback watched per socket (None once unwatched)."""
-
-    def __init__(self):
-        super().__init__()
-        self.watched = {}
-
-    def watch(self, sock, events, fn=None) -> None:
-        self.watched[sock] = fn if events else None
 
 
 class TestHostSocketFailures:
@@ -616,7 +640,7 @@ class TestHostSocketFailures:
     REMOTE = ip_to_bytes("127.0.0.1")
 
     def _stack(self, forwards=None):
-        stack = UserNetStack(NicConfig(model="open_eth", forwards=forwards or []), _RecordingLoop())
+        stack = nat_stack(forwards)
         stack._arp_table[self.GUEST] = GUEST_MAC
         return stack
 
@@ -628,7 +652,6 @@ class TestHostSocketFailures:
 
     def test_new_syn_on_the_ports_of_a_draining_flow_opens_a_new_flow(self):
         import select
-        import selectors
         import socket as socket_mod
 
         server = socket_mod.socket()
@@ -639,7 +662,7 @@ class TestHostSocketFailures:
         stack = self._stack()
         old = self._syn_in(stack, port)
         assert select.select([], [old.sock], [], 5)[1]
-        stack.loop.watched[old.sock](selectors.EVENT_WRITE)  # the connect is through
+        step(stack.loop)  # the connect is through
         assert old.state == "syn_rcvd"
         conn, _ = server.accept()
         data = bytes(range(256)) * 32768  # 8 MiB: more than the host socket buffers
@@ -656,8 +679,7 @@ class TestHostSocketFailures:
         received = bytearray()
         while chunk := conn.recv(65536):
             received += chunk
-            if old.out_buf:
-                old._on_ready(selectors.EVENT_WRITE)
+            step(stack.loop)  # the loop sends more while a remainder waits
         assert received == data
         assert old.sock is None and not stack._draining
         assert stack._flows[new.key] is new  # the old flow's release left the new one alone
@@ -703,26 +725,33 @@ class TestHostSocketFailures:
 
     def test_accept_that_fails_for_want_of_descriptors_rests_the_listener(self):
         import errno
+        import socket as socket_mod
 
         from emunet.usernet import ACCEPT_RETRY_S
 
-        class Listener:
+        class Listener(socket_mod.socket):
             def accept(self):
                 raise OSError(errno.EMFILE, "Too many open files")
 
-        rule = ForwardRule("tcp", "127.0.0.1", 8080, "", 80)
-        stack = self._stack([rule])
         listener = Listener()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        rule = ForwardRule("tcp", "127.0.0.1", listener.getsockname()[1], "", 80)
+        client = socket_mod.create_connection(listener.getsockname(), timeout=5)
+        stack = self._stack([rule])
         stack._listeners.append(listener)
         stack._watch_listener(rule, listener)
-        stack.loop.watched[listener](0)
+        step(stack.loop)  # the pending connection makes the listener readable
         assert stack.drop_counts["fwd_accept_failed"] == 1
-        assert stack.loop.watched[listener] is None  # the loop no longer wakes for it
-        (rest,) = stack.loop.timers
-        assert rest.deadline == ACCEPT_RETRY_S  # ManualLoop keeps the delay here
-        stack.loop.fire_timers()
-        assert stack.loop.watched[listener] is not None  # watched again
+        step(stack.loop)
+        assert stack.drop_counts["fwd_accept_failed"] == 1  # the loop no longer wakes for it
+        (rest,) = timers(stack.loop)
+        assert rest.deadline == stack.loop.time() + ACCEPT_RETRY_S
+        advance(stack.loop, ACCEPT_RETRY_S)
+        assert stack.drop_counts["fwd_accept_failed"] == 2  # watched again, so tried again
         stack._listeners.clear()  # as stop() does
-        stack.loop.watched[listener](0)
-        stack.loop.fire_timers()
-        assert stack.loop.watched[listener] is None  # a closed listener is not watched again
+        advance(stack.loop, ACCEPT_RETRY_S)
+        assert stack.drop_counts["fwd_accept_failed"] == 2  # a closed listener is not watched again
+        assert not timers(stack.loop)
+        client.close()
+        listener.close()

@@ -20,7 +20,7 @@ from emunet.wire import (
     TcpSegment,
     UdpDatagram,
 )
-from helpers import ipv4_with_flags
+from helpers import boot, ipv4_with_flags, stepped_instance
 from reference import (
     ones_complement_checksum,
     reference_decode_frame,
@@ -91,16 +91,10 @@ class TestEthernetFrame:
     def test_guest_dhcp_discover_matches_reference_decoder(self):
         # Capture the first frame a real guest transmits (its DISCOVER) and
         # cross-check the wire decoder against the fixed-offset reference.
-        from emunet.device import GuestMemory, MacDevice
-        from emunet.guest import GuestStack
-
-        captured = []
-        memory = GuestMemory()
-        device = MacDevice(memory, backend_send=captured.append)
-        guest = GuestStack(device, memory)
-        guest.start()
-        assert captured, "guest transmitted nothing at boot"
-        raw = captured[0]
+        instance = stepped_instance()
+        boot(instance)
+        assert instance.guest_tx_raw, "guest transmitted nothing at boot"
+        raw = instance.guest_tx_raw[0]
         ours = wire.decode_frame(raw)
         reference = reference_decode_frame(raw)
         assert ours.dst.octets == reference["dst"] == b"\xff" * 6
