@@ -20,7 +20,7 @@ from __future__ import annotations
 import mmap
 
 from .trace import NULL_TRACE, TraceConfig
-from .wire import EthernetFrame, MacAddress, encode_frame
+from .wire import BROADCAST_MAC, MacAddress
 
 # Register offsets (4-byte aligned, 32-bit each).
 MODER = 0x00
@@ -339,16 +339,15 @@ class MacDevice:
                 self.tx_cursor = slot + 1
         self.update_irq()
 
-    def receive(self, frame: EthernetFrame) -> bool:
-        """Offer an inbound frame; returns True when written to an RX slot."""
-        raw = encode_frame(frame)
+    def receive(self, raw: bytes) -> bool:
+        """Offer an inbound frame's bytes; returns True when written to an RX slot."""
         self.trace.emit(
             "open_eth_receive",
-            lambda: f"len={len(raw)} dst={frame.dst}",
+            lambda: f"len={len(raw)} dst={raw[:6].hex(':')}",
         )
         if not self.regs[MODER] & MODER_RXEN:
             return False
-        if not self._rx_filter(frame.dst):
+        if not self._rx_filter(raw[:6]):
             return False
         tx_count = self.regs[TX_BD_NUM]
         if tx_count >= BD_COUNT:  # no RX region configured
@@ -384,14 +383,14 @@ class MacDevice:
         self.update_irq()
         return True
 
-    def _rx_filter(self, dst: MacAddress) -> bool:
+    def _rx_filter(self, dst: bytes) -> bool:
         moder = self.regs[MODER]
         if moder & MODER_PRO:
             return True
-        if dst.is_broadcast:
+        if dst == BROADCAST_MAC.octets:
             return not moder & MODER_BRO
-        if dst.is_multicast:
-            index = multicast_hash_index(dst)
+        if dst[0] & 1:  # multicast
+            index = multicast_hash_index(MacAddress(dst))
             table = (self.regs[HASH1] << 32) | self.regs[HASH0]
             accepted = bool(table >> index & 1)
             self.trace.emit(
@@ -399,7 +398,7 @@ class MacDevice:
                 lambda: f"idx={index} accepted={int(accepted)}",
             )
             return accepted
-        return dst.octets == self.programmed_mac()
+        return dst == self.programmed_mac()
 
     def programmed_mac(self) -> bytes:
         a0 = self.regs[MAC_ADDR0]

@@ -47,6 +47,7 @@ class EventLoop:
         self._posted: deque = deque()
         self._timers: list[Timer] = []
         self._selector = selectors.DefaultSelector()
+        self._watched: set[socket.socket] = set()  # registered with the selector
         self._wake_in = self._wake_out = None  # a socket pair, made by start()
         self._idle_hook = idle_hook
         self._thread: threading.Thread | None = None
@@ -75,14 +76,15 @@ class EventLoop:
     def watch(self, sock: socket.socket, events: int, fn: Callable[[int], None] | None = None) -> None:
         """Call ``fn(ready)`` while ``sock`` is ready for ``events``, a mask of
         ``selectors.EVENT_READ`` and ``EVENT_WRITE``; 0 stops watching."""
-        try:
+        if sock in self._watched:
             if events:
                 self._selector.modify(sock, events, fn)
             else:
                 self._selector.unregister(sock)
-        except KeyError:  # not watched yet
-            if events:
-                self._selector.register(sock, events, fn)
+                self._watched.discard(sock)
+        elif events:
+            self._selector.register(sock, events, fn)
+            self._watched.add(sock)
 
     def stop(self) -> None:
         self._posted.append(_STOP)  # not through post(), which a tracer may wrap

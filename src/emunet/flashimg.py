@@ -117,7 +117,7 @@ def parse_partition_table(raw: bytes) -> list[PartitionEntry]:
 
 @dataclass
 class FlashImage:
-    raw: bytes
+    raw: bytearray
     layout: FlashLayout
     entries: list[PartitionEntry] = field(default_factory=list)
 
@@ -140,7 +140,7 @@ def merge(
         ("app", layout.app_offset, app, layout.flash_size),
     )
     seen: list[tuple[int, int, str]] = []
-    buf = bytearray(b"\xff" * layout.flash_size)
+    buf = bytearray(b"\xff") * layout.flash_size  # the one copy of the image
     for name, offset, data, limit in segments:
         if not data:
             raise FlashError(f"{name} segment is empty")
@@ -158,7 +158,7 @@ def merge(
         for other in table[index + 1:]:
             if entry.offset < other.offset + other.size and other.offset < entry.offset + entry.size:
                 raise FlashError(f"partition {entry.label!r} overlaps {other.label!r}")
-    return FlashImage(raw=bytes(buf), layout=layout, entries=list(table))
+    return FlashImage(raw=buf, layout=layout, entries=list(table))
 
 
 @dataclass
@@ -199,14 +199,7 @@ def inspect(image: bytes, layout: FlashLayout | None = None) -> InspectReport:
     partition entry contributes one segment covering [offset, offset+size).
     """
     layout = layout or FlashLayout()
-    layout.validate()
-    if len(image) < layout.app_offset:
-        raise FlashError(f"image of {len(image)} bytes is shorter than the layout")
-    table_raw = image[layout.table_offset:layout.app_offset]
-    trim = len(table_raw) - len(table_raw) % PARTITION_ENTRY_SIZE
-    entries = parse_partition_table(table_raw[:trim])
-    if not entries:
-        raise FlashError("no table found")
+    entries = _read_table(image, layout)
     segments = [
         SegmentReport(
             "bootloader",
@@ -232,6 +225,18 @@ def inspect(image: bytes, layout: FlashLayout | None = None) -> InspectReport:
             )
         )
     return InspectReport(layout=layout, entries=entries, segments=segments)
+
+
+def _read_table(image: bytes, layout: FlashLayout) -> list[PartitionEntry]:
+    layout.validate()
+    if len(image) < layout.app_offset:
+        raise FlashError(f"image of {len(image)} bytes is shorter than the layout")
+    table_raw = image[layout.table_offset:layout.app_offset]
+    trim = len(table_raw) - len(table_raw) % PARTITION_ENTRY_SIZE
+    entries = parse_partition_table(table_raw[:trim])
+    if not entries:
+        raise FlashError("no table found")
+    return entries
 
 
 def encode_app_payload(config: dict) -> bytes:
@@ -262,14 +267,18 @@ def boot_payload(image: bytes, layout: FlashLayout | None = None) -> tuple[dict,
     """Validate an image for boot and extract the guest configuration.
 
     Boot requires a parseable table with an app partition whose contents
-    start with the app magic.
+    start with the app magic.  Only the table and the app's header and body
+    are read: no segment CRC, as ``inspect`` computes, and no copy of the
+    rest of the partition.
     """
-    report = inspect(image, layout)
-    app_entries = [e for e in report.entries if e.type == PARTITION_TYPE_APP]
+    entries = _read_table(image, layout or FlashLayout())
+    app_entries = [e for e in entries if e.type == PARTITION_TYPE_APP]
     if not app_entries:
         raise FlashError("no app partition in table")
     entry = app_entries[0]
     if entry.offset + 5 > len(image):
         raise FlashError(f"app partition at 0x{entry.offset:x} lies outside the image")
-    config = decode_app_payload(image[entry.offset:entry.offset + entry.size])
-    return config, report.entries
+    header = image[entry.offset:entry.offset + min(entry.size, 5)]
+    length = struct.unpack_from("<I", header, 1)[0] if len(header) == 5 else 0
+    config = decode_app_payload(image[entry.offset:entry.offset + min(entry.size, 5 + length)])
+    return config, entries

@@ -8,6 +8,12 @@ device's IRQ level.
 
 Guest stdout is a log callable: one line when the address is bound, one
 line per served HTTP request.
+
+A received data or ACK segment of a synchronized connection goes to the
+engine by header prediction (see ``tcp.py``); ``fast_path_frames`` counts
+those frames.  Every TCP segment the guest sends is one ``encode_tcp_frame``;
+while its next hop's MAC is unknown the frame waits in ``arp_pending`` with
+a zero destination MAC, which the ARP answer fills in.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import device as dev
-from .tcp import TcpEndpoint, seq_add
+from .tcp import DATA_STATES, WINDOW, TcpEndpoint, seq_add
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -32,6 +38,8 @@ from .wire import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    TCP_ACK,
+    TCP_RST,
     ZERO_MAC,
     ArpPacket,
     DecodeError,
@@ -51,13 +59,14 @@ from .wire import (
     decode_frame,
     decode_ipv4,
     decode_tcp,
+    decode_tcp_frame,
     decode_udp,
     encode_arp,
     encode_dhcp,
     encode_frame,
     encode_ipv4,
     encode_response,
-    encode_tcp,
+    encode_tcp_frame,
     encode_udp,
     ip_to_str,
 )
@@ -296,14 +305,19 @@ class GuestTcpConn(TcpEndpoint):
         super().__init__(local_port, peer_port, stack.rng.getrandbits(32), stack.drop_counts)
         self.stack = stack
         self.peer_ip = peer_ip
+        self.next_hop = stack._next_hop(peer_ip)
+        self._addr_sum = int.from_bytes(stack.ip + peer_ip, "big")  # for encode_tcp_frame
         self.app = app_factory(stack, self)
 
     @property
     def key(self) -> tuple:
         return (self.peer_ip, self.peer_port, self.local_port)
 
-    def _emit(self, seg: TcpSegment) -> None:
-        self.stack.send_tcp(self.peer_ip, seg)
+    def _emit(self, seq: int, ack: int, flags: int, payload: bytes) -> None:
+        self.stack.send_tcp(
+            self.peer_ip, self.next_hop, self._addr_sum, self.local_port, self.peer_port,
+            seq, ack, flags, payload,
+        )
 
     def _deliver(self, data: bytes) -> None:
         self.stack.app_data_events += 1
@@ -349,10 +363,11 @@ class GuestStack:
         self.netmask = b"\xff\xff\xff\x00"
         self.gateway_ip: bytes | None = None
         self.arp_table: dict[bytes, MacAddress] = {}
-        self.arp_pending: dict[bytes, list[bytes]] = {}
+        self.arp_pending: dict[bytes, list[bytes]] = {}  # next hop -> IPv4 frames for it
         self.listeners: dict[int, Callable] = {}
         self.conns: dict[tuple, GuestTcpConn] = {}
         self.drop_counts: Counter = Counter()
+        self.fast_path_frames = 0  # received frames header prediction took
         self.served_count = 0
         self.app_connect_events = 0
         self.app_data_events = 0
@@ -382,6 +397,29 @@ class GuestStack:
     # -- frames --------------------------------------------------------------
 
     def _frame_in(self, raw: bytes) -> None:
+        if not (self.conns and self._fast_path(raw)):
+            self._full_path(raw)
+
+    def _fast_path(self, raw: bytes) -> bool:
+        """Give a predicted segment of a synchronized connection to its
+        engine; False, having changed nothing, for any other frame."""
+        fields = decode_tcp_frame(raw)
+        if fields is None:
+            return False
+        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload = fields
+        if dst_ip != self.ip or self.arp_pending:
+            return False
+        conn = self.conns.get((src_ip, src_port, dst_port))
+        if conn is None or conn.state not in DATA_STATES:
+            return False
+        known = self.arp_table.get(src_ip)
+        if known is None or known.octets != src_mac:
+            return False
+        self.fast_path_frames += 1
+        conn._data_in(seq, ack, True, window, payload, False)
+        return True
+
+    def _full_path(self, raw: bytes) -> None:
         try:
             frame = decode_frame(raw)
         except DecodeError:
@@ -419,8 +457,8 @@ class GuestStack:
         self.arp_table[ip] = mac
         queued = self.arp_pending.pop(ip, None)
         if queued:
-            for raw_ip in queued:
-                self._transmit_frame(mac, ETHERTYPE_IPV4, raw_ip)
+            for frame in queued:
+                self.driver.transmit(mac.octets + frame[6:])
 
     def _ipv4_in(self, frame: EthernetFrame) -> None:
         try:
@@ -569,55 +607,55 @@ class GuestStack:
 
     def _send_rst_for(self, pkt: Ipv4Packet, seg: TcpSegment) -> None:
         if seg.ack_flag:
-            rst = TcpSegment(
-                src_port=seg.dst_port, dst_port=seg.src_port,
-                seq=seg.ack, ack=0, rst=True,
-            )
+            seq, ack, flags = seg.ack, 0, TCP_RST
         else:
             length = len(seg.payload) + (1 if seg.syn else 0) + (1 if seg.fin else 0)
-            rst = TcpSegment(
-                src_port=seg.dst_port, dst_port=seg.src_port,
-                seq=0, ack=seq_add(seg.seq, length), rst=True, ack_flag=True,
-            )
-        self.send_tcp(pkt.src_ip, rst)
-
-    def send_tcp(self, dst_ip: bytes, seg: TcpSegment) -> None:
-        assert self.ip is not None
-        raw_ip = encode_ipv4(
-            Ipv4Packet(
-                src_ip=self.ip,
-                dst_ip=dst_ip,
-                protocol=IPPROTO_TCP,
-                payload=encode_tcp(seg, self.ip, dst_ip),
-                ident=self._next_ident(),
-            )
+            seq, ack, flags = 0, seq_add(seg.seq, length), TCP_RST | TCP_ACK
+        self.send_tcp(
+            pkt.src_ip, self._next_hop(pkt.src_ip), int.from_bytes(self.ip + pkt.src_ip, "big"),
+            seg.dst_port, seg.src_port, seq, ack, flags,
         )
-        self._route_ipv4(dst_ip, raw_ip)
+
+    def send_tcp(
+        self,
+        dst_ip: bytes,
+        next_hop: bytes,
+        addr_sum: int,
+        src_port: int,
+        dst_port: int,
+        seq: int,
+        ack: int,
+        flags: int,
+        payload: bytes = b"",
+    ) -> None:
+        """Send one segment toward ``next_hop``, or hold it in ``arp_pending``
+        until ARP resolves that hop; ``addr_sum`` is as ``encode_tcp_frame``
+        takes it."""
+        mac = self.arp_table.get(next_hop)
+        frame = encode_tcp_frame(
+            (mac or ZERO_MAC).octets, self.mac.octets, self.ip, dst_ip, addr_sum,
+            self._next_ident(), src_port, dst_port, seq, ack, flags, WINDOW, payload,
+        )
+        if mac is not None:
+            self.driver.transmit(frame)
+            return
+        queued = self.arp_pending.setdefault(next_hop, [])
+        if len(queued) >= ARP_QUEUE_MAX:
+            del queued[0]  # the oldest goes, as in Linux
+            self._count("arp_queue_full")
+        queued.append(frame)
+        self._send_arp_request(next_hop)  # with no ARP timer, each packet retries
 
     def _next_ident(self) -> int:
         self._ident = (self._ident + 1) & 0xFFFF
         return self._ident
 
-    def _route_ipv4(self, dst_ip: bytes, raw_ip: bytes) -> None:
-        if self.ip is not None and self._on_link(dst_ip):
-            next_hop = dst_ip
-        else:
-            next_hop = self.gateway_ip or dst_ip
-        mac = self.arp_table.get(next_hop)
-        if mac is None:
-            queued = self.arp_pending.setdefault(next_hop, [])
-            if len(queued) >= ARP_QUEUE_MAX:
-                del queued[0]  # the oldest goes, as in Linux
-                self._count("arp_queue_full")
-            queued.append(raw_ip)
-            self._send_arp_request(next_hop)  # with no ARP timer, each packet retries
-            return
-        self._transmit_frame(mac, ETHERTYPE_IPV4, raw_ip)
-
-    def _on_link(self, dst_ip: bytes) -> bool:
-        mask = int.from_bytes(self.netmask, "big")
-        me = int.from_bytes(self.ip, "big") & mask
-        return (int.from_bytes(dst_ip, "big") & mask) == me
+    def _next_hop(self, dst_ip: bytes) -> bytes:
+        if self.ip is not None:
+            mask = int.from_bytes(self.netmask, "big")
+            if int.from_bytes(dst_ip, "big") & mask == int.from_bytes(self.ip, "big") & mask:
+                return dst_ip  # on link
+        return self.gateway_ip or dst_ip
 
     def _send_arp_request(self, target_ip: bytes) -> None:
         request = ArpPacket(

@@ -1,11 +1,13 @@
 """Instance assembly and the run command.
 
 One Instance owns one event loop carrying a guest, its MAC device and the
-guest-facing side of a NAT stack.  Frames move in a pump: NAT output is
-delivered to the device, the asserted IRQ line wakes the guest, guest
-transmissions land back in the NAT stack, and the pump repeats until the
-instance is quiescent; then the NAT sends what the guest sent to the host.
-The loop's one thread also serves every host socket of the instance.
+guest-facing side of a NAT stack.  Frames cross the device boundary as the
+bytes the device reads and writes, each encoded once.  They move in a
+pump: NAT output is delivered to the device, the asserted IRQ line wakes
+the guest, guest transmissions land back in the NAT stack, and the pump
+repeats until the instance is quiescent; then the NAT sends what the guest
+sent to the host.  The loop's one thread also serves every host socket of
+the instance.
 
 An Instance that was never ``start()``ed starts no thread and binds no
 port: a caller can post ``_boot`` and step ``loop.run_once`` on its own
@@ -25,7 +27,6 @@ from .eventloop import EventLoop
 from .guest import GuestConfig, GuestStack
 from .trace import NULL_TRACE, TraceConfig
 from .usernet import NicConfig, UserNetStack
-from .wire import DecodeError, decode_frame
 
 _PUMP_BOUND = 10_000  # safety valve; an 8 MiB echo polls the NAT at most 10 times per pump
 
@@ -78,16 +79,10 @@ class Instance:
         self.device = MacDevice(self.memory, backend_send=self._frame_from_guest, trace=self.trace)
         self.usernet = UserNetStack(nic_config, self.loop)
         self.guest = GuestStack(self.device, self.memory, guest_config, log, self.loop.call_later)
-        self.frame_decode_failures = 0
         self._started = False
 
     def _frame_from_guest(self, raw: bytes) -> None:
-        try:
-            frame = decode_frame(raw)
-        except DecodeError:
-            self.frame_decode_failures += 1
-            return
-        self.usernet.guest_frame_in(frame)
+        self.usernet.guest_frame_in(raw)
 
     def _settle(self) -> None:
         pump(self.usernet, self.device, self.guest)

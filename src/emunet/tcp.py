@@ -3,8 +3,28 @@
 ``TcpEndpoint`` holds one connection's sequence state, the three-way
 handshake, data transfer and orderly close.  The guest's connections and
 the NAT's flows toward the guest are subclasses that say only where
-segments go (``_emit``), where received bytes go (``_deliver``,
-``_deliver_eof``) and what happens on establish, finish and reset.
+segments go (``_emit``, which builds the frame with ``encode_tcp_frame``),
+where received bytes go (``_deliver``, ``_deliver_eof``) and what happens
+on establish, finish and reset.
+
+Segments come in by one of two doors into the same code.  ``segment_in``
+takes a decoded ``TcpSegment`` and runs the state machine.  Header
+prediction (Van Jacobson's; Linux ``tcp_rcv_established``) is the other:
+the stack that owns the endpoint reads a frame with ``decode_tcp_frame``
+and calls ``_data_in`` with its fields, skipping the state machine, when
+all of these hold:
+
+- the frame is option-free, unfragmented IPv4/TCP and both checksums verify;
+- its flags are ACK or ACK|PSH (``decode_tcp_frame`` returns None otherwise);
+- it belongs to an endpoint of the stack in ``DATA_STATES``: established, or
+  ``fin_wait`` once our FIN is out, where ``segment_in`` does nothing else;
+- the stack's ARP entry for the source IP already holds the frame's source
+  MAC, so the full path would learn nothing; and, in the guest, no packet
+  waits for ARP and the frame is addressed to the guest's own IP.
+
+Every other frame takes the full decode path, which counts its drops.
+``_data_segment``, the full path's data step, is a call to ``_data_in``, so
+both doors end in one engine.
 
 The send buffer holds every byte from ``snd_una`` on (RFC 9293 section
 3.3.1): the first ``snd_nxt - snd_una`` of them are in flight, the rest
@@ -24,12 +44,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .wire import TcpSegment
+from .wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, TcpSegment
 
 MSS = 1460
 WINDOW = 8192  # advertised by both ends, never changed
 
 _SEQ_MASK = 0xFFFFFFFF
+
+# the states in which an arriving segment is data and ACKs, for _data_in
+DATA_STATES = frozenset(("established", "fin_wait"))
 
 
 def seq_add(a: int, n: int) -> int:
@@ -58,7 +81,8 @@ class TcpEndpoint:
 
     # -- what a subclass says ----------------------------------------------------
 
-    def _emit(self, seg: TcpSegment) -> None:
+    def _emit(self, seq: int, ack: int, flags: int, payload: bytes) -> None:
+        """Send one segment from ``local_port`` to ``peer_port``."""
         raise NotImplementedError
 
     def _deliver(self, data: bytes) -> None:
@@ -81,13 +105,13 @@ class TcpEndpoint:
 
     def active_open(self) -> None:
         self.state = "syn_sent"
-        self._transmit(syn=True)
+        self._transmit(TCP_SYN)
 
     def passive_open(self, syn: TcpSegment) -> None:
         self.rcv_nxt = seq_add(syn.seq, 1)
         self.peer_window = syn.window
         self.state = "syn_rcvd"
-        self._transmit(syn=True, ack_flag=True)
+        self._transmit(TCP_SYN | TCP_ACK)
 
     # -- input -------------------------------------------------------------------
 
@@ -104,7 +128,7 @@ class TcpEndpoint:
                 self.rcv_nxt = seq_add(seg.seq, 1)
                 self.peer_window = seg.window
                 self.state = "established"
-                self._transmit(ack_flag=True)
+                self._transmit(TCP_ACK)
                 self._on_establish()
                 self._pump()
             return
@@ -115,22 +139,26 @@ class TcpEndpoint:
                 self._on_establish()
                 self._data_segment(seg)
             return
-        if state in ("established", "fin_wait"):
+        if state in DATA_STATES:
             self._data_segment(seg)
 
     def _data_segment(self, seg: TcpSegment) -> None:
-        if seg.ack_flag:
-            self._process_ack(seg.ack, seg.window)
+        self._data_in(seg.seq, seg.ack, seg.ack_flag, seg.window, seg.payload, seg.fin)
+
+    def _data_in(self, seq: int, ack: int, ack_flag: bool, window: int, payload: bytes, fin: bool) -> None:
+        """A segment in a synchronized state, given as its fields."""
+        if ack_flag:
+            self._process_ack(ack, window)
         reack = False  # out of order or duplicate: re-ack what we have
-        if seg.payload:
-            if seg.seq == self.rcv_nxt:
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(seg.payload))
-                self._deliver(seg.payload)
+        if payload:
+            if seq == self.rcv_nxt:
+                self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
+                self._deliver(payload)
             else:
                 self.drop_counts["tcp_out_of_order"] += 1
                 reack = True
-        if seg.fin:
-            if not self.peer_fin and seq_add(seg.seq, len(seg.payload)) == self.rcv_nxt:
+        if fin:
+            if not self.peer_fin and seq_add(seq, len(payload)) == self.rcv_nxt:
                 self.peer_fin = True
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)
                 self._deliver_eof()
@@ -139,7 +167,7 @@ class TcpEndpoint:
         self._pump()
         # data sent by _pump already carries the ack
         if reack or self.last_ack_sent != self.rcv_nxt:
-            self._transmit(ack_flag=True)
+            self._transmit(TCP_ACK)
         self._maybe_finish()
 
     def _process_ack(self, ack: int, window: int) -> bool:
@@ -168,7 +196,7 @@ class TcpEndpoint:
         self._maybe_finish()
 
     def _pump(self) -> None:
-        if self.fin_sent or self.state not in ("established", "fin_wait"):
+        if self.fin_sent or self.state not in DATA_STATES:
             return
         buf = self.send_buf
         flight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
@@ -178,44 +206,22 @@ class TcpEndpoint:
                 break
             chunk = bytes(buf[flight : flight + min(MSS, room)])
             flight += len(chunk)
-            self._transmit(payload=chunk, ack_flag=True, psh=flight == len(buf))
+            self._transmit(TCP_ACK | TCP_PSH if flight == len(buf) else TCP_ACK, chunk)
         if self.close_requested and flight == len(buf):
             self.fin_sent = True
             self.state = "fin_wait"
-            self._transmit(fin=True, ack_flag=True)
+            self._transmit(TCP_FIN | TCP_ACK)
 
-    def _transmit(
-        self,
-        payload: bytes = b"",
-        syn: bool = False,
-        fin: bool = False,
-        rst: bool = False,
-        ack_flag: bool = False,
-        psh: bool = False,
-        seq: int | None = None,
-    ) -> None:
-        """Send a segment: a new one at ``snd_nxt``, which advances it, or
-        a retransmission at the ``seq`` it was first sent at."""
+    def _transmit(self, flags: int, payload: bytes = b"", seq: int | None = None) -> None:
+        """Send a segment with ``flags``: a new one at ``snd_nxt``, which
+        advances it, or a retransmission at the ``seq`` it was first sent at."""
         new = seq is None
-        self._emit(
-            TcpSegment(
-                src_port=self.local_port,
-                dst_port=self.peer_port,
-                seq=self.snd_nxt if new else seq,
-                ack=self.rcv_nxt if ack_flag else 0,
-                syn=syn,
-                ack_flag=ack_flag,
-                fin=fin,
-                rst=rst,
-                psh=psh,
-                window=WINDOW,
-                payload=payload,
-            )
-        )
+        ack_flag = flags & TCP_ACK
+        self._emit(self.snd_nxt if new else seq, self.rcv_nxt if ack_flag else 0, flags, payload)
         if ack_flag:
             self.last_ack_sent = self.rcv_nxt
         if new:
-            self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if syn or fin else 0))
+            self.snd_nxt = seq_add(self.snd_nxt, len(payload) + (1 if flags & (TCP_SYN | TCP_FIN) else 0))
 
     # -- teardown ----------------------------------------------------------------
 

@@ -9,7 +9,12 @@ opened itself, and flows entering through a forward rule.
 The TCP spoken toward the guest is synthesized here as a terminating
 proxy: host-side byte streams are re-segmented with locally generated
 sequence numbers by the engine in ``tcp.py``, to which a flow adds a
-500 ms retransmit timer with 5 retries.
+500 ms retransmit timer with 5 retries.  Frames cross the device boundary
+as bytes, each encoded once: ``guest_frame_in`` takes the guest's frame as
+the device read it, and ``poll_frames_out`` returns frames ready for
+``MacDevice.receive``.  A data or ACK segment of a synchronized flow goes
+to the engine by header prediction (see ``tcp.py``); ``fast_path_frames``
+counts those frames.
 
 Threading: the instance's one event loop thread owns all of this state and
 every host socket, which it watches through ``EventLoop.watch``.  A flow
@@ -33,7 +38,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .tcp import MSS, TcpEndpoint, seq_add
+from .tcp import DATA_STATES, MSS, TcpEndpoint, seq_add
 from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
     ARP_OP_REPLY,
@@ -48,6 +53,10 @@ from .wire import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
+    TCP_SYN,
     ZERO_MAC,
     ArpPacket,
     DecodeError,
@@ -59,13 +68,16 @@ from .wire import (
     UdpDatagram,
     decode_arp,
     decode_dhcp,
+    decode_frame,
     decode_ipv4,
     decode_tcp,
+    decode_tcp_frame,
     decode_udp,
     encode_arp,
     encode_dhcp,
+    encode_frame,
     encode_ipv4,
-    encode_tcp,
+    encode_tcp_frame,
     encode_udp,
     ip_to_bytes,
     ip_to_str,
@@ -204,6 +216,7 @@ class NatFlow(TcpEndpoint):
         self.stack = stack
         self.guest_ip = guest_ip
         self.remote_ip = remote_ip  # the address we speak to the guest from
+        self._addr_sum = int.from_bytes(remote_ip + guest_ip, "big")  # for encode_tcp_frame
         self.sock: socket.socket | None = None
         self.out_buf = bytearray()  # guest bytes not yet sent to the host
         self._events = 0  # what the loop watches sock for
@@ -255,7 +268,7 @@ class NatFlow(TcpEndpoint):
         if err is None:
             err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
         if err:
-            self._transmit(rst=True, ack_flag=True)
+            self._transmit(TCP_RST | TCP_ACK)
             self._teardown()
             return
         self.passive_open(syn)
@@ -269,8 +282,17 @@ class NatFlow(TcpEndpoint):
 
     # -- the engine's hooks ------------------------------------------------------
 
-    def _emit(self, seg: TcpSegment) -> None:
-        self.stack._send_tcp_to_guest(self.remote_ip, self.guest_ip, seg)
+    def _emit(self, seq: int, ack: int, flags: int, payload: bytes) -> None:
+        stack = self.stack
+        guest_mac = stack._arp_table.get(self.guest_ip)
+        if guest_mac is None:
+            self.drop_counts["guest_mac_unknown"] += 1
+            return
+        stack._frames_out.append(encode_tcp_frame(
+            guest_mac.octets, stack.subnet.gateway_mac.octets, self.remote_ip, self.guest_ip,
+            self._addr_sum, stack._next_ident(), self.local_port, self.peer_port,
+            seq, ack, flags, GUEST_WINDOW, payload,
+        ))
 
     def _deliver(self, data: bytes) -> None:
         if not self.out_buf:
@@ -374,7 +396,7 @@ class NatFlow(TcpEndpoint):
     def host_error(self) -> None:
         if self.state == "closed":
             return
-        self._transmit(rst=True, ack_flag=True)
+        self._transmit(TCP_RST | TCP_ACK)
         self._teardown()
 
     # -- retransmission (RFC 6298, with a fixed timeout) ---------------------------
@@ -382,13 +404,13 @@ class NatFlow(TcpEndpoint):
     def _retransmit_one(self) -> None:
         """Resend the SYN, else up to one MSS of data from snd_una, else the FIN."""
         if self.state in ("syn_sent", "syn_rcvd"):
-            self._transmit(syn=True, ack_flag=self.state == "syn_rcvd", seq=self.iss)
+            self._transmit(TCP_SYN | TCP_ACK if self.state == "syn_rcvd" else TCP_SYN, seq=self.iss)
             return
         flight = min((self.snd_nxt - self.snd_una) & 0xFFFFFFFF, len(self.send_buf))
         if flight:
-            self._transmit(bytes(self.send_buf[: min(MSS, flight)]), ack_flag=True, seq=self.snd_una)
+            self._transmit(TCP_ACK, bytes(self.send_buf[: min(MSS, flight)]), seq=self.snd_una)
         else:
-            self._transmit(fin=True, ack_flag=True, seq=seq_add(self.snd_nxt, -1))
+            self._transmit(TCP_FIN | TCP_ACK, seq=seq_add(self.snd_nxt, -1))
 
     def _arm_retransmit(self) -> None:
         if (
@@ -410,7 +432,7 @@ class NatFlow(TcpEndpoint):
             return
         self.tries += 1
         if self.tries > MAX_RETRIES:
-            self._transmit(rst=True, ack_flag=True)
+            self._transmit(TCP_RST | TCP_ACK)
             self._teardown()
             return
         self._retransmit_one()
@@ -458,7 +480,7 @@ class UserNetStack:
         self.loop = loop
         self.subnet = SubnetPlan()
         self.rng = random.Random(RNG_SEED)
-        self._frames_out: deque[EthernetFrame] = deque()
+        self._frames_out: deque[bytes] = deque()
         self._leases: dict[bytes, bytes] = {}  # client mac -> ip
         self._offers: dict[bytes, bytes] = {}
         self._lease_order: list[bytes] = []
@@ -472,6 +494,7 @@ class UserNetStack:
         self._ident = 0
         self.drop_counts: Counter = Counter()
         self.frames_from_guest = 0
+        self.fast_path_frames = 0  # of those, the ones header prediction took
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -528,18 +551,48 @@ class UserNetStack:
 
     # -- frame plumbing ------------------------------------------------------
 
-    def poll_frames_out(self) -> list[EthernetFrame]:
+    def poll_frames_out(self) -> list[bytes]:
         """Drain frames queued toward the guest, FIFO."""
         out = list(self._frames_out)
         self._frames_out.clear()
         return out
 
     def _queue_frame(self, frame: EthernetFrame) -> None:
-        self._frames_out.append(frame)
+        self._frames_out.append(encode_frame(frame))
 
-    def guest_frame_in(self, frame: EthernetFrame) -> None:
+    def _next_ident(self) -> int:
+        self._ident = (self._ident + 1) & 0xFFFF
+        return self._ident
+
+    def guest_frame_in(self, raw: bytes) -> None:
         """Demultiplex one frame transmitted by the guest."""
         self.frames_from_guest += 1
+        if not (self._flows and self._fast_path(raw)):
+            self._full_path(raw)
+
+    def _fast_path(self, raw: bytes) -> bool:
+        """Give a predicted segment of a synchronized flow to its engine;
+        False, having changed nothing, for any other frame."""
+        fields = decode_tcp_frame(raw)
+        if fields is None:
+            return False
+        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload = fields
+        flow = self._flows.get((src_ip, src_port, dst_ip, dst_port))
+        if flow is None or flow.state not in DATA_STATES:
+            return False
+        known = self._arp_table.get(src_ip)
+        if known is None or known.octets != src_mac:
+            return False
+        self.fast_path_frames += 1
+        flow._data_in(seq, ack, True, window, payload, False)
+        return True
+
+    def _full_path(self, raw: bytes) -> None:
+        try:
+            frame = decode_frame(raw)
+        except DecodeError:
+            self.drop_counts["frame_malformed"] += 1
+            return
         if frame.ethertype == ETHERTYPE_ARP:
             self._arp_in(frame)
         elif frame.ethertype == ETHERTYPE_IPV4:
@@ -762,20 +815,10 @@ class UserNetStack:
             )
         )
 
-    def _send_tcp_to_guest(self, src_ip: bytes, guest_ip: bytes, seg: TcpSegment) -> None:
-        guest_mac = self._arp_table.get(guest_ip)
-        if guest_mac is None:
-            self.drop_counts["guest_mac_unknown"] += 1
-            return
-        self._send_ipv4_to_guest(
-            guest_mac, src_ip, guest_ip, IPPROTO_TCP, encode_tcp(seg, src_ip, guest_ip)
-        )
-
     def _send_ipv4_to_guest(
         self, dst_mac: MacAddress, src_ip: bytes, dst_ip: bytes, proto: int, payload: bytes
     ) -> None:
-        self._ident = (self._ident + 1) & 0xFFFF
-        pkt = Ipv4Packet(src_ip=src_ip, dst_ip=dst_ip, protocol=proto, payload=payload, ident=self._ident)
+        pkt = Ipv4Packet(src_ip=src_ip, dst_ip=dst_ip, protocol=proto, payload=payload, ident=self._next_ident())
         self._queue_frame(
             EthernetFrame(
                 dst=dst_mac,

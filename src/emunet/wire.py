@@ -5,6 +5,15 @@ TCP without options on encode (RFC 793), DHCP (RFC 2131) and HTTP/1.1
 message units.  No frame check sequence is carried on the virtual wire;
 frames are payload-only and zero-padded to the 60 byte minimum.
 
+Most formats have an object codec (``decode_tcp`` returns a ``TcpSegment``,
+and so on).  TCP data and ACK segments of established connections, nearly
+every frame on the wire, also have a flat one: ``decode_tcp_frame`` reads
+the 54-byte Ethernet + IPv4 + TCP header with one ``struct.Struct`` and
+returns its fields, and ``encode_tcp_frame``, the one encoder of TCP frames,
+writes a whole frame with the same ``Struct``.  The TCP checksum is computed
+with the pseudo-header (and, on encode, the other header words) folded into
+the initial sum, so ``_sum16`` runs once over the segment.
+
 All functions here are pure and safe to call from any thread.
 """
 
@@ -144,19 +153,25 @@ def decode_frame(raw: bytes) -> EthernetFrame:
 def _sum16(data: bytes, total: int = 0) -> int:
     """Ones-complement 16-bit word sum; odd lengths padded with a zero byte.
 
-    Read as one big-endian integer, the data is the sum of its words times
-    powers of 2**16, and 2**16 == 1 (mod 0xFFFF); so the remainder mod 0xFFFF
-    is the end-around-carry sum (RFC 1071 section 2).  A nonzero sum folds to
-    0xFFFF rather than 0, as the carry loop would; only all-zero input gives 0.
+    Read as one integer, the data is the sum of its words times powers of
+    2**16, and 2**16 == 1 (mod 0xFFFF); so the remainder mod 0xFFFF is the
+    end-around-carry sum (RFC 1071 section 2).  The data is read
+    little-endian, which ``int.from_bytes`` does faster: that sums the words
+    byte-swapped, and 256 times that sum is the big-endian one, as
+    256 * 256 == 1 (mod 0xFFFF) (RFC 1071's byte-order independence).  An
+    odd trailing byte then needs no pad.  A nonzero sum folds to 0xFFFF
+    rather than 0, as the carry loop would; only all-zero input gives 0.
     """
-    total += int.from_bytes(data, "big") << 8 * (len(data) % 2)
-    return total and (total % 0xFFFF or 0xFFFF)
+    value = int.from_bytes(data, "little")
+    total += value % 0xFFFF << 8
+    return total % 0xFFFF or (0xFFFF if total or value else 0)
 
 
 def ipv4_checksum(header: bytes) -> int:
     """Header checksum: ones-complement of the ones-complement word sum.
 
-    The caller must zero the checksum field first.
+    The caller must zero the checksum field first; over a header with its
+    checksum in place, 0 means the header verifies.
     """
     if len(header) % 2:
         raise ValueError("header length must be a multiple of 2")
@@ -168,10 +183,12 @@ def ipv4_checksum(header: bytes) -> int:
 def tcp_checksum(src_ip: bytes, dst_ip: bytes, segment: bytes) -> int:
     """TCP checksum over the IPv4 pseudo-header plus the segment bytes.
 
-    The checksum field inside ``segment`` must be zeroed by the caller.
+    The checksum field inside ``segment`` must be zeroed by the caller; over
+    a segment with its checksum in place, 0 means it verifies.  The
+    pseudo-header's words go into the initial sum, so ``_sum16`` runs once.
     """
-    pseudo = src_ip + dst_ip + struct.pack("!BBH", 0, IPPROTO_TCP, len(segment))
-    return ~_sum16(segment, _sum16(pseudo)) & 0xFFFF
+    pseudo = int.from_bytes(src_ip + dst_ip, "big") + IPPROTO_TCP + len(segment)
+    return ~_sum16(segment, pseudo) & 0xFFFF
 
 
 def udp_checksum(src_ip: bytes, dst_ip: bytes, datagram: bytes) -> int:
@@ -299,6 +316,80 @@ def decode_tcp(raw: bytes, src_ip: bytes, dst_ip: bytes) -> TcpSegment:
         window=window,
         payload=bytes(raw[offset:]),
     )
+
+
+# Ethernet II, IPv4 and TCP headers without options: the header of every
+# frame decode_tcp_frame reads and encode_tcp_frame writes.
+TCP_FRAME = struct.Struct("!6s6sHBBHHHBBH4s4sHHIIBBHHH")
+_TTL = 64
+
+
+def decode_tcp_frame(raw: bytes) -> tuple | None:
+    """Fields of a plain ACK or ACK|PSH segment of an option-free,
+    unfragmented IPv4/TCP frame whose two checksums verify:
+    ``(src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload)``.
+
+    Any other frame, a malformed one included, returns None rather than
+    raising: the caller takes it down the full decode path, which counts
+    what is wrong with it.
+    """
+    if len(raw) < 54:
+        return None
+    (_dst, src_mac, ethertype, ver_ihl, _tos, total, _ident, frag, _ttl, proto, _hsum,
+     src_ip, dst_ip, src_port, dst_port, seq, ack, offset, flags, window, _tsum, _urg,
+     ) = TCP_FRAME.unpack_from(raw)
+    end = ETH_HEADER_LEN + total
+    if (
+        ethertype != ETHERTYPE_IPV4 or ver_ihl != 0x45 or proto != IPPROTO_TCP
+        or frag & 0x3FFF or offset != 0x50 or flags & ~TCP_PSH != TCP_ACK
+        or total < 40 or end > len(raw)
+    ):
+        return None
+    if ipv4_checksum(raw[14:34]) or tcp_checksum(src_ip, dst_ip, raw[34:end]):
+        return None
+    return src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, raw[54:end]
+
+
+def encode_tcp_frame(
+    dst_mac: bytes,
+    src_mac: bytes,
+    src_ip: bytes,
+    dst_ip: bytes,
+    addr_sum: int,
+    ident: int,
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    window: int,
+    payload: bytes,
+) -> bytes:
+    """One TCP segment as a whole frame, zero-padded to the 60 byte minimum.
+
+    ``addr_sum`` is ``int.from_bytes(src_ip + dst_ip, "big")``, which an
+    endpoint computes once: both checksums start from it.  The bytes are
+    those ``encode_frame`` of ``encode_ipv4`` of ``encode_tcp`` gives.
+    """
+    total = 40 + len(payload)
+    if total > ETH_MAX_PAYLOAD:
+        raise EncodeError(f"TCP payload of {len(payload)} bytes exceeds {ETH_MAX_PAYLOAD - 40}")
+    # Both sums take the header's words as integers (a 32-bit field is two
+    # words), so only the payload goes through _sum16.
+    ip_sum = (0x4500 + total + ident + (_TTL << 8 | IPPROTO_TCP) + addr_sum) % 0xFFFF or 0xFFFF
+    tcp_sum = _sum16(
+        payload,
+        addr_sum + IPPROTO_TCP + total - 20 + src_port + dst_port
+        + (seq >> 16) + (seq & 0xFFFF) + (ack >> 16) + (ack & 0xFFFF) + (0x5000 | flags) + window,
+    )
+    frame = TCP_FRAME.pack(
+        dst_mac, src_mac, ETHERTYPE_IPV4,
+        0x45, 0, total, ident, 0, _TTL, IPPROTO_TCP, 0xFFFF - ip_sum, src_ip, dst_ip,
+        src_port, dst_port, seq, ack, 0x50, flags, window, 0xFFFF - tcp_sum, 0,
+    ) + payload
+    if total < ETH_MIN_FRAME - ETH_HEADER_LEN:
+        frame += bytes(ETH_MIN_FRAME - ETH_HEADER_LEN - total)
+    return frame
 
 
 @dataclass

@@ -17,7 +17,7 @@ from emunet.eventloop import EventLoop
 from emunet.guest import GuestConfig
 from emunet.harness import Instance
 from emunet.usernet import ForwardRule, NicConfig, UserNetStack
-from emunet.wire import decode_frame
+from emunet.wire import EthernetFrame, decode_frame, encode_frame
 
 
 def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
@@ -108,6 +108,11 @@ def timers(loop: EventLoop) -> list:
     return sorted(timer for timer in loop._timers if not timer.cancelled)
 
 
+def frames_out(stack: UserNetStack) -> list[EthernetFrame]:
+    """Drain the frames a NAT stack queued toward the guest, decoded."""
+    return [decode_frame(raw) for raw in stack.poll_frames_out()]
+
+
 def nat_stack(forwards=None) -> UserNetStack:
     """A NAT stack alone on a stepped loop.  Its idle hook is the NAT's half
     of the instance's settle pass, so frames toward the guest wait in the
@@ -125,12 +130,14 @@ def stepped_instance(mode: str = "http", trace=None) -> Instance:
 
     It records, as attributes: ``log``, the guest's stdout; ``guest_tx`` and
     ``guest_tx_raw``, the frames the guest transmitted, decoded and raw; and
-    ``usernet_tx``, the frames the NAT stack sent toward the guest.
+    ``usernet_tx`` and ``usernet_tx_raw``, the frames the NAT stack sent
+    toward the guest, decoded and raw.
     """
     instance, log, _port = make_instance(mode=mode, trace=trace, forwards=[])
     instance.log = log
     instance.loop.time = VirtualClock()
-    instance.guest_tx, instance.guest_tx_raw, instance.usernet_tx = [], [], []
+    instance.guest_tx, instance.guest_tx_raw = [], []
+    instance.usernet_tx, instance.usernet_tx_raw = [], []
     to_nat, poll = instance.device.backend_send, instance.usernet.poll_frames_out
 
     def from_guest(raw: bytes) -> None:
@@ -140,7 +147,8 @@ def stepped_instance(mode: str = "http", trace=None) -> Instance:
 
     def poll_and_record() -> list:
         frames = poll()
-        instance.usernet_tx.extend(frames)
+        instance.usernet_tx_raw.extend(frames)
+        instance.usernet_tx.extend(decode_frame(raw) for raw in frames)
         return frames
 
     instance.device.backend_send = from_guest
@@ -152,9 +160,10 @@ def boot(instance: Instance) -> None:
     step(instance.loop, instance._boot)
 
 
-def inject(instance: Instance, frame) -> None:
+def inject(instance: Instance, frame: EthernetFrame) -> None:
     """Deliver one frame toward the guest on the loop, which pumps to quiescence."""
-    step(instance.loop, lambda: instance.device.receive(frame))
+    raw = encode_frame(frame)
+    step(instance.loop, lambda: instance.device.receive(raw))
 
 
 def make_instance(

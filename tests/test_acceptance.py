@@ -29,6 +29,7 @@ from emunet.wire import (
     MacAddress,
     TcpSegment,
     UdpDatagram,
+    encode_frame,
     encode_ipv4,
     encode_tcp,
     encode_udp,
@@ -145,7 +146,7 @@ def test_trace_multicast_event_dedicated():
     device.reg_write(HASH0, table & 0xFFFFFFFF)
     device.reg_write(HASH1, (table >> 32) & 0xFFFFFFFF)
     src = MacAddress.parse("02:00:00:00:00:01")
-    assert device.receive(EthernetFrame(mac, src, 0x0800, b"\x00" * 46)) is True
+    assert device.receive(encode_frame(EthernetFrame(mac, src, 0x0800, b"\x00" * 46))) is True
     names = [line.split()[0] for line in sink.getvalue().splitlines()]
     assert "open_eth_receive_mcast" in names
 
@@ -196,7 +197,7 @@ def test_firewall_blocks_unsolicited_frames():
         rng = random.Random(0xF12E)
         guest_ip = guest.ip
         for _ in range(1000):
-            frame = _random_hostile_frame(rng, guest.mac, guest_ip)
+            frame = encode_frame(_random_hostile_frame(rng, guest.mac, guest_ip))
             instance.loop.post(lambda f=frame: instance.device.receive(f))
         done = threading.Event()
         instance.loop.post(done.set)

@@ -72,6 +72,26 @@ def test_watch_with_no_events_unregisters_the_socket():
     far.close()
 
 
+def test_watch_registers_a_new_socket_and_modifies_only_a_watched_one(monkeypatch):
+    near, far = socket.socketpair()
+    loop = stepped_loop(lambda: None)
+    calls = []
+    for name in ("register", "modify", "unregister"):
+        real = getattr(loop._selector, name)
+        monkeypatch.setattr(
+            loop._selector, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    loop.watch(near, selectors.EVENT_READ, print)
+    loop.watch(near, selectors.EVENT_READ | selectors.EVENT_WRITE, print)
+    loop.watch(near, 0)
+    loop.watch(near, 0)
+    loop.watch(near, selectors.EVENT_WRITE, print)
+    # no modify() of an unregistered socket, which fails only after formatting a KeyError
+    assert calls == ["register", "modify", "unregister", "register"]
+    near.close()
+    far.close()
+
+
 def test_post_from_another_thread_wakes_a_started_loop():
     loop = EventLoop(lambda: None)
     loop.start()

@@ -27,6 +27,20 @@ def sample_app(extra=b""):
     return encode_app_payload({"mac": "52:54:00:12:34:56", "mode": "http"}) + extra
 
 
+class TestMergeMemory:
+    def test_merge_holds_one_image_sized_buffer(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            image = merge(b"\x7fB", [factory_entry()], sample_app())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(image.raw) == flashimg.DEFAULT_FLASH_SIZE
+        assert peak < 1.25 * flashimg.DEFAULT_FLASH_SIZE
+
+
 class TestPartitionTable:
     def test_single_entry_fields(self):
         raw = serialize_partition_table([factory_entry()])
@@ -165,6 +179,24 @@ class TestAppPayload:
         extracted, entries = boot_payload(image.raw)
         assert extracted == config
         assert entries == [factory_entry()]
+
+    def test_boot_payload_computes_no_segment_crc(self, monkeypatch):
+        config = {"mac": "52:54:00:aa:bb:cc", "mode": "echo"}
+        image = merge(b"\x7fB", [factory_entry()], encode_app_payload(config))
+
+        def no_crc(*_args):
+            raise AssertionError("boot computed a CRC")
+
+        monkeypatch.setattr(flashimg.zlib, "crc32", no_crc)
+        assert boot_payload(image.raw)[0] == config
+
+    def test_boot_payload_body_must_fit_the_app_partition(self):
+        app = sample_app()
+        image = merge(b"\x7fB", [factory_entry(size=len(app) - 1)], app)
+        with pytest.raises(FlashError, match="truncated"):
+            boot_payload(image.raw)
+        image = merge(b"\x7fB", [factory_entry(size=len(app))], app)
+        assert boot_payload(image.raw)[0]["mode"] == "http"
 
     def test_boot_requires_app_partition(self):
         table = [PartitionEntry(type=1, subtype=0, offset=0x10000, size=0x1000, label="data")]

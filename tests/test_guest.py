@@ -20,6 +20,8 @@ from emunet.wire import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
+    TCP_RST,
+    ZERO_MAC,
     ArpPacket,
     EthernetFrame,
     HttpRequest,
@@ -27,6 +29,7 @@ from emunet.wire import (
     MacAddress,
     TcpSegment,
     decode_arp,
+    decode_frame,
     decode_ipv4,
     decode_tcp,
     encode_arp,
@@ -421,19 +424,20 @@ class TestArpQueue:
         inst = stepped_instance()
         boot(inst)
         host, host_mac = ip_to_bytes("10.0.2.40"), MacAddress.parse("52:54:00:aa:bb:cc")
-        packets = [
-            encode_ipv4(Ipv4Packet(GUEST_IP, host, IPPROTO_TCP, b"", ident=i)) for i in range(20)
-        ]
-        for raw in packets:
-            inst.guest._route_ipv4(host, raw)
-        assert inst.guest.arp_pending[host] == packets[-ARP_QUEUE_MAX:]  # the newest stay
+        addr_sum = int.from_bytes(GUEST_IP + host, "big")
+        for port in range(1000, 1020):  # one RST to each of 20 ports
+            inst.guest.send_tcp(host, host, addr_sum, 80, port, 0, 0, TCP_RST)
+        queued = inst.guest.arp_pending[host]
+        assert [decode_frame(raw).dst for raw in queued] == [ZERO_MAC] * ARP_QUEUE_MAX
+        segs = [decode_tcp(decode_ipv4(raw[14:]).payload, GUEST_IP, host) for raw in queued]
+        assert [seg.dst_port for seg in segs] == [1017, 1018, 1019]  # the newest stay
         assert inst.guest.drop_counts["arp_queue_full"] == 20 - ARP_QUEUE_MAX
         reply = ArpPacket(
             op=ARP_OP_REPLY, sender_mac=host_mac, sender_ip=host,
             target_mac=inst.guest.mac, target_ip=GUEST_IP,
         )
-        sent_before = len(inst.guest_tx)
+        sent_before = len(inst.guest_tx_raw)
         inject(inst, EthernetFrame(inst.guest.mac, host_mac, ETHERTYPE_ARP, encode_arp(reply)))
-        flushed = [f.payload[:20] for f in inst.guest_tx[sent_before:] if f.dst == host_mac]
-        assert flushed == [raw[:20] for raw in packets[-ARP_QUEUE_MAX:]]
+        flushed = [raw for raw in inst.guest_tx_raw[sent_before:] if raw[:6] == host_mac.octets]
+        assert flushed == [host_mac.octets + raw[6:] for raw in queued]
         assert host not in inst.guest.arp_pending

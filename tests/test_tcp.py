@@ -11,8 +11,8 @@ import pytest
 from emunet.guest import GuestTcpConn
 from emunet.tcp import seq_add
 from emunet.usernet import NatFlow
-from emunet.wire import TcpSegment, ip_to_bytes
-from helpers import nat_stack, stepped_instance
+from emunet.wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, TcpSegment, ip_to_bytes
+from helpers import boot, nat_stack, stepped_instance
 
 PEER_ISS = 7000  # the far end's initial sequence number
 
@@ -36,6 +36,15 @@ class _Recorder:
         pass
 
 
+def _segment(ep, seq, ack, flags, payload):
+    """What an endpoint's ``_emit`` was given, as a TcpSegment."""
+    return TcpSegment(
+        src_port=ep.local_port, dst_port=ep.peer_port, seq=seq, ack=ack,
+        syn=bool(flags & TCP_SYN), ack_flag=bool(flags & TCP_ACK), fin=bool(flags & TCP_FIN),
+        rst=bool(flags & TCP_RST), psh=bool(flags & TCP_PSH), payload=payload,
+    )
+
+
 class _End:
     """One established endpoint, the segments it sent, and the stack that owns it."""
 
@@ -50,7 +59,7 @@ class _End:
                 remote_ip=ip_to_bytes("10.0.2.2"), remote_port=49152,
             )
             self.stack._flows[self.ep.key] = self.ep
-            self.ep._emit = self.sent.append
+            self.ep._emit = lambda *fields: self.sent.append(_segment(self.ep, *fields))
             self.events = []  # what the flow would send to its host socket
             self.ep._deliver = lambda data: self.events.append(("data", bytes(data)))
             self.ep._deliver_eof = lambda: self.events.append(("eof",))
@@ -58,10 +67,12 @@ class _End:
             self.ep.start_inbound(self.host)
             self.peer_in(PEER_ISS, syn=True)
         else:  # the guest accepts a connection
-            self.stack = stepped_instance().guest
+            instance = stepped_instance()
+            boot(instance)  # the guest has its address
+            self.stack = instance.guest
             self.ep = GuestTcpConn(self.stack, 80, ip_to_bytes("10.0.2.2"), 49152, _Recorder)
             self.stack.conns[self.ep.key] = self.ep
-            self.ep._emit = self.sent.append
+            self.ep._emit = lambda *fields: self.sent.append(_segment(self.ep, *fields))
             self.ep.passive_open(TcpSegment(src_port=49152, dst_port=80, seq=PEER_ISS, ack=0, syn=True))
             self.peer_in(self.peer_nxt)
         assert self.ep.state == "established"

@@ -33,11 +33,12 @@ from emunet.wire import (
     decode_tcp,
     decode_udp,
     encode_arp,
+    encode_frame,
     encode_ipv4,
     encode_tcp,
     ip_to_bytes,
 )
-from helpers import advance, ipv4_with_flags, nat_stack, step, stepped_loop, timers
+from helpers import advance, frames_out, ipv4_with_flags, nat_stack, step, stepped_loop, timers
 
 GUEST_MAC = MacAddress.parse("52:54:00:12:34:56")
 GUEST_MAC2 = MacAddress.parse("52:54:00:12:34:57")
@@ -167,9 +168,9 @@ class TestDhcpServer:
 
 
 def guest_frame(payload, ethertype=ETHERTYPE_IPV4, src=GUEST_MAC):
-    return EthernetFrame(
+    return encode_frame(EthernetFrame(
         dst=SubnetPlan().gateway_mac, src=src, ethertype=ethertype, payload=payload
-    )
+    ))
 
 
 class TestGuestFrameIn:
@@ -180,7 +181,7 @@ class TestGuestFrameIn:
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.2"),
         )
         stack.guest_frame_in(guest_frame(encode_arp(request), ethertype=ETHERTYPE_ARP))
-        frames = stack.poll_frames_out()
+        frames = frames_out(stack)
         assert len(frames) == 1
         reply = decode_arp(frames[0].payload)
         assert reply.op == ARP_OP_REPLY
@@ -195,7 +196,7 @@ class TestGuestFrameIn:
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.3"),
         )
         stack.guest_frame_in(guest_frame(encode_arp(request), ethertype=ETHERTYPE_ARP))
-        assert len(stack.poll_frames_out()) == 1
+        assert len(frames_out(stack)) == 1
 
     def test_arp_for_other_host_unanswered(self):
         stack = nat_stack()
@@ -204,7 +205,7 @@ class TestGuestFrameIn:
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.40"),
         )
         stack.guest_frame_in(guest_frame(encode_arp(request), ethertype=ETHERTYPE_ARP))
-        assert stack.poll_frames_out() == []
+        assert frames_out(stack) == []
 
     def test_unknown_flow_dropped_with_counter(self):
         stack = nat_stack()
@@ -215,7 +216,7 @@ class TestGuestFrameIn:
         before = stack.drop_counts["tcp_no_flow"]
         stack.guest_frame_in(guest_frame(encode_ipv4(pkt)))
         assert stack.drop_counts["tcp_no_flow"] == before + 1
-        assert stack.poll_frames_out() == []
+        assert frames_out(stack) == []
 
     def test_dhcp_over_frames(self):
         stack = nat_stack()
@@ -226,10 +227,10 @@ class TestGuestFrameIn:
         dgram = UdpDatagram(68, 67, encode_dhcp(msg))
         pkt = Ipv4Packet(src_ip=src, dst_ip=dst, protocol=17,
                          payload=encode_udp(dgram, src, dst))
-        stack.guest_frame_in(
+        stack.guest_frame_in(encode_frame(
             EthernetFrame(MacAddress(b"\xff" * 6), GUEST_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
-        )
-        frames = stack.poll_frames_out()
+        ))
+        frames = frames_out(stack)
         assert len(frames) == 1  # exactly one response per request
         inner = decode_ipv4(frames[0].payload)
         reply = decode_dhcp(decode_udp(inner.payload, inner.src_ip, inner.dst_ip).payload)
@@ -237,7 +238,7 @@ class TestGuestFrameIn:
         assert frames[0].dst == GUEST_MAC
 
     def test_poll_frames_empty(self):
-        assert nat_stack().poll_frames_out() == []
+        assert frames_out(nat_stack()) == []
 
     def test_interleaved_responses_fifo(self):
         stack = nat_stack()
@@ -252,10 +253,10 @@ class TestGuestFrameIn:
         ip = Ipv4Packet(src_ip=b"\x00" * 4, dst_ip=b"\xff" * 4, protocol=17,
                         payload=encode_udp(dgram, b"\x00" * 4, b"\xff" * 4))
         stack.guest_frame_in(guest_frame(encode_arp(arp_req), ethertype=ETHERTYPE_ARP))
-        stack.guest_frame_in(
+        stack.guest_frame_in(encode_frame(
             EthernetFrame(MacAddress(b"\xff" * 6), GUEST_MAC, ETHERTYPE_IPV4, encode_ipv4(ip))
-        )
-        frames = stack.poll_frames_out()
+        ))
+        frames = frames_out(stack)
         assert len(frames) == 2
         assert frames[0].ethertype == ETHERTYPE_ARP
         assert frames[1].ethertype == ETHERTYPE_IPV4
@@ -294,7 +295,7 @@ class TestFlowTimers:
 
     def _tcp_frames(self, stack):
         out = []
-        for frame in stack.poll_frames_out():
+        for frame in frames_out(stack):
             pkt = decode_ipv4(frame.payload)
             out.append(decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip))
         return out
@@ -717,7 +718,7 @@ class TestHostSocketFailures:
         stack = self._stack()
         monkeypatch.setattr(usernet.socket, "socket", no_descriptors)
         assert self._syn_in(stack, 9) is None  # torn down at once
-        (frame,) = stack.poll_frames_out()
+        (frame,) = frames_out(stack)
         pkt = decode_ipv4(frame.payload)
         rst = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
         assert rst.rst and rst.ack_flag and rst.ack == 1001

@@ -253,6 +253,62 @@ class TestTcpUdpRoundtrip:
         assert decoded == UdpDatagram(sp, dp, payload)
 
 
+class TestTcpFrame:
+    """The flat TCP frame codec against the object codecs it stands in for."""
+
+    @given(
+        macs=st.tuples(st.binary(min_size=6, max_size=6), st.binary(min_size=6, max_size=6)),
+        ips=st.tuples(st.binary(min_size=4, max_size=4), st.binary(min_size=4, max_size=4)),
+        ident=st.integers(0, 0xFFFF), ports=st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+        seq=st.integers(0, 2**32 - 1), ack=st.integers(0, 2**32 - 1), flags=st.integers(0, 0x1F),
+        window=st.integers(0, 65535), payload=st.binary(max_size=1460),
+    )
+    @settings(max_examples=300)
+    @example(macs=(b"\0" * 6, b"\0" * 6), ips=(b"\0" * 4, b"\0" * 4), ident=0, ports=(0, 0),
+             seq=0, ack=0, flags=0, window=0, payload=b"")
+    def test_encode_is_byte_identical_and_decode_agrees(self, macs, ips, ident, ports, seq, ack, flags, window, payload):
+        (dst_mac, src_mac), (src_ip, dst_ip), (sp, dp) = macs, ips, ports
+        seg = TcpSegment(
+            sp, dp, seq, ack, syn=bool(flags & wire.TCP_SYN), ack_flag=bool(flags & wire.TCP_ACK),
+            fin=bool(flags & wire.TCP_FIN), rst=bool(flags & wire.TCP_RST), psh=bool(flags & wire.TCP_PSH),
+            window=window, payload=payload,
+        )
+        pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, wire.encode_tcp(seg, src_ip, dst_ip), ident=ident)
+        expected = wire.encode_frame(
+            EthernetFrame(MacAddress(dst_mac), MacAddress(src_mac), wire.ETHERTYPE_IPV4, wire.encode_ipv4(pkt))
+        )
+        raw = wire.encode_tcp_frame(
+            dst_mac, src_mac, src_ip, dst_ip, int.from_bytes(src_ip + dst_ip, "big"), ident,
+            sp, dp, seq, ack, flags, window, payload,
+        )
+        assert raw == expected
+        fields = wire.decode_tcp_frame(raw)
+        if flags & ~wire.TCP_PSH == wire.TCP_ACK:
+            assert fields == (src_mac, src_ip, dst_ip, sp, dp, seq, ack, window, payload)
+        else:
+            assert fields is None
+
+    def test_decode_returns_none_where_the_full_path_would_refuse_or_branch(self):
+        src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
+        good = wire.encode_tcp_frame(
+            BCAST.octets, SRC.octets, src_ip, dst_ip, int.from_bytes(src_ip + dst_ip, "big"), 1,
+            80, 49152, 1000, 2000, wire.TCP_ACK, 8192, b"data",
+        )
+        assert wire.decode_tcp_frame(good) is not None
+        for offset in (24, 50, 57):  # IPv4 checksum, TCP checksum, payload
+            bad = bytearray(good)
+            bad[offset] ^= 0x01
+            assert wire.decode_tcp_frame(bytes(bad)) is None
+        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x2000)) is None  # a fragment
+        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x4000)) is not None  # don't fragment
+        assert wire.decode_tcp_frame(good[:53]) is None
+        assert wire.decode_tcp_frame(good[:14] + good[14:16] + b"\x00\xff" + good[18:]) is None  # too long
+
+
+def ipv4_frame_with_flags(raw: bytes, flags_offset: int) -> bytes:
+    return raw[:14] + ipv4_with_flags(raw[14:], flags_offset)
+
+
 class TestArp:
     def test_roundtrip(self):
         pkt = wire.ArpPacket(
