@@ -9,9 +9,10 @@ device's IRQ level.
 Guest stdout is a log callable: one line when the address is bound, one
 line per served HTTP request.
 
-A received data or ACK segment of a synchronized connection goes to the
-engine by header prediction (see ``tcp.py``); ``fast_path_frames`` counts
-those frames.  Every TCP segment the guest sends is one ``encode_tcp_frame``;
+A received TCP frame is parsed once, by ``decode_tcp_frame``, and goes to
+its connection's one input, ``segment_in`` (see ``tcp.py``); ARP and DHCP
+frames go through the object codecs.  Every TCP segment the guest sends is
+one ``encode_tcp_frame``;
 while its next hop's MAC is unknown the frame waits in ``arp_pending`` with
 a zero destination MAC, which the ARP answer fills in.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import device as dev
-from .tcp import DATA_STATES, WINDOW, TcpEndpoint, seq_add
+from .tcp import WINDOW, TcpEndpoint, seq_add
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -36,10 +37,11 @@ from .wire import (
     DHCP_REQUEST,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
-    IPPROTO_TCP,
     IPPROTO_UDP,
     TCP_ACK,
+    TCP_FIN,
     TCP_RST,
+    TCP_SYN,
     ZERO_MAC,
     ArpPacket,
     DecodeError,
@@ -52,13 +54,11 @@ from .wire import (
     HttpResponse,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     UdpDatagram,
     decode_arp,
     decode_dhcp,
     decode_frame,
     decode_ipv4,
-    decode_tcp,
     decode_tcp_frame,
     decode_udp,
     encode_arp,
@@ -83,6 +83,7 @@ BROADCAST_IP = b"\xff\xff\xff\xff"
 ZERO_IP = b"\x00\x00\x00\x00"
 ARP_QUEUE_MAX = 3  # packets held per unresolved next hop (Linux's old unres_qlen)
 RNG_SEED = 0x6E57
+FIRST_LOCAL_PORT = 33000  # of the ports tcp_connect takes, up to 65535
 
 
 class DriverInitError(Exception):
@@ -367,11 +368,10 @@ class GuestStack:
         self.listeners: dict[int, Callable] = {}
         self.conns: dict[tuple, GuestTcpConn] = {}
         self.drop_counts: Counter = Counter()
-        self.fast_path_frames = 0  # received frames header prediction took
         self.served_count = 0
         self.app_connect_events = 0
         self.app_data_events = 0
-        self._next_port = 33000
+        self._next_port = FIRST_LOCAL_PORT
         self._ident = 0
         self._dhcp_state = "init"
         self._dhcp_xid = self.rng.getrandbits(32)
@@ -397,29 +397,36 @@ class GuestStack:
     # -- frames --------------------------------------------------------------
 
     def _frame_in(self, raw: bytes) -> None:
-        if not (self.conns and self._fast_path(raw)):
-            self._full_path(raw)
-
-    def _fast_path(self, raw: bytes) -> bool:
-        """Give a predicted segment of a synchronized connection to its
-        engine; False, having changed nothing, for any other frame."""
         fields = decode_tcp_frame(raw)
         if fields is None:
-            return False
-        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload = fields
-        if dst_ip != self.ip or self.arp_pending:
-            return False
+            self._non_tcp_in(raw)
+            return
+        if fields.__class__ is str:
+            self._count(fields)
+            return
+        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, payload = fields
+        if src_ip != ZERO_IP:
+            known = self.arp_table.get(src_ip)
+            if known is None or known.octets != src_mac or src_ip in self.arp_pending:
+                self._learn(src_ip, MacAddress(src_mac))
+        if dst_ip != self.ip:
+            self._count("ip_proto" if dst_ip == BROADCAST_IP else "ip_not_for_us")
+            return
+        if payload is None:
+            self._count("tcp_malformed")
+            return
         conn = self.conns.get((src_ip, src_port, dst_port))
-        if conn is None or conn.state not in DATA_STATES:
-            return False
-        known = self.arp_table.get(src_ip)
-        if known is None or known.octets != src_mac:
-            return False
-        self.fast_path_frames += 1
-        conn._data_in(seq, ack, True, window, payload, False)
-        return True
+        if conn is not None:
+            conn.segment_in(seq, ack, flags, window, payload)
+        elif flags & (TCP_SYN | TCP_ACK) == TCP_SYN and dst_port in self.listeners:
+            conn = GuestTcpConn(self, dst_port, src_ip, src_port, self.listeners[dst_port])
+            self.conns[conn.key] = conn
+            conn.passive_open(seq, window)
+        elif not flags & TCP_RST:
+            self._count("tcp_closed_port")
+            self._send_rst_for(src_ip, src_port, dst_port, seq, ack, flags, len(payload))
 
-    def _full_path(self, raw: bytes) -> None:
+    def _non_tcp_in(self, raw: bytes) -> None:
         try:
             frame = decode_frame(raw)
         except DecodeError:
@@ -477,8 +484,6 @@ class GuestStack:
             return
         if pkt.protocol == IPPROTO_UDP:
             self._udp_in(pkt)
-        elif pkt.protocol == IPPROTO_TCP and pkt.dst_ip == self.ip:
-            self._tcp_in(pkt)
         else:
             self._count("ip_proto")
 
@@ -575,45 +580,24 @@ class GuestStack:
     def tcp_connect(self, dst_ip: bytes, dst_port: int, app_factory: Callable) -> GuestTcpConn:
         if self.ip is None:
             raise RuntimeError("guest has no address yet")
-        local_port = self._next_port
-        self._next_port += 1
-        conn = GuestTcpConn(self, local_port, dst_ip, dst_port, app_factory)
+        conn = GuestTcpConn(self, self._next_local_port(dst_ip, dst_port), dst_ip, dst_port, app_factory)
         self.conns[conn.key] = conn
         conn.active_open()
         return conn
 
-    def _tcp_in(self, pkt: Ipv4Packet) -> None:
-        try:
-            seg = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
-        except DecodeError:
-            self._count("tcp_malformed")
-            return
-        key = (pkt.src_ip, seg.src_port, seg.dst_port)
-        conn = self.conns.get(key)
-        if conn is not None:
-            conn.segment_in(seg)
-            return
-        if seg.syn and not seg.ack_flag and seg.dst_port in self.listeners:
-            conn = GuestTcpConn(
-                self, seg.dst_port, pkt.src_ip, seg.src_port, self.listeners[seg.dst_port]
-            )
-            self.conns[key] = conn
-            conn.passive_open(seg)
-            return
-        if seg.rst:
-            return
-        self._count("tcp_closed_port")
-        self._send_rst_for(pkt, seg)
-
-    def _send_rst_for(self, pkt: Ipv4Packet, seg: TcpSegment) -> None:
-        if seg.ack_flag:
-            seq, ack, flags = seg.ack, 0, TCP_RST
+    def _send_rst_for(
+        self, peer_ip: bytes, peer_port: int, local_port: int, seq: int, ack: int, flags: int, length: int
+    ) -> None:
+        """Answer a segment to no connection (RFC 9293 section 3.10.7.1); ``length``
+        is its payload's."""
+        if flags & TCP_ACK:
+            seq, ack, flags = ack, 0, TCP_RST
         else:
-            length = len(seg.payload) + (1 if seg.syn else 0) + (1 if seg.fin else 0)
-            seq, ack, flags = 0, seq_add(seg.seq, length), TCP_RST | TCP_ACK
+            length += (1 if flags & TCP_SYN else 0) + (1 if flags & TCP_FIN else 0)
+            seq, ack, flags = 0, seq_add(seq, length), TCP_RST | TCP_ACK
         self.send_tcp(
-            pkt.src_ip, self._next_hop(pkt.src_ip), int.from_bytes(self.ip + pkt.src_ip, "big"),
-            seg.dst_port, seg.src_port, seq, ack, flags,
+            peer_ip, self._next_hop(peer_ip), int.from_bytes(self.ip + peer_ip, "big"),
+            local_port, peer_port, seq, ack, flags,
         )
 
     def send_tcp(
@@ -649,6 +633,14 @@ class GuestStack:
     def _next_ident(self) -> int:
         self._ident = (self._ident + 1) & 0xFFFF
         return self._ident
+
+    def _next_local_port(self, dst_ip: bytes, dst_port: int) -> int:
+        for _ in range(65536 - FIRST_LOCAL_PORT):
+            port = self._next_port
+            self._next_port = FIRST_LOCAL_PORT if port >= 65535 else port + 1
+            if (dst_ip, dst_port, port) not in self.conns:
+                return port
+        raise RuntimeError("local ports exhausted")
 
     def _next_hop(self, dst_ip: bytes) -> bytes:
         if self.ip is not None:

@@ -7,24 +7,15 @@ segments go (``_emit``, which builds the frame with ``encode_tcp_frame``),
 where received bytes go (``_deliver``, ``_deliver_eof``) and what happens
 on establish, finish and reset.
 
-Segments come in by one of two doors into the same code.  ``segment_in``
-takes a decoded ``TcpSegment`` and runs the state machine.  Header
-prediction (Van Jacobson's; Linux ``tcp_rcv_established``) is the other:
-the stack that owns the endpoint reads a frame with ``decode_tcp_frame``
-and calls ``_data_in`` with its fields, skipping the state machine, when
-all of these hold:
-
-- the frame is option-free, unfragmented IPv4/TCP and both checksums verify;
-- its flags are ACK or ACK|PSH (``decode_tcp_frame`` returns None otherwise);
-- it belongs to an endpoint of the stack in ``DATA_STATES``: established, or
-  ``fin_wait`` once our FIN is out, where ``segment_in`` does nothing else;
-- the stack's ARP entry for the source IP already holds the frame's source
-  MAC, so the full path would learn nothing; and, in the guest, no packet
-  waits for ARP and the frame is addressed to the guest's own IP.
-
-Every other frame takes the full decode path, which counts its drops.
-``_data_segment``, the full path's data step, is a call to ``_data_in``, so
-both doors end in one engine.
+Segments come in by one door, ``segment_in(seq, ack, flags, window,
+payload)``.  The stack that owns the endpoint parses each TCP frame once,
+with ``decode_tcp_frame``, checks it, learns the sender's MAC and finds the
+endpoint by 4-tuple, as lwIP's ``tcp_input`` and Linux's ``tcp_v4_rcv`` do.
+``segment_in`` dispatches on state: a RST resets; the handshake states take
+the SYN and ACK they wait for; a synchronized endpoint (``DATA_STATES``:
+established, or ``fin_wait`` once our FIN is out) takes data and ACKs
+straight away, which is where header prediction (Van Jacobson's; Linux
+``tcp_rcv_established``) puts nearly every segment.
 
 The send buffer holds every byte from ``snd_una`` on (RFC 9293 section
 3.3.1): the first ``snd_nxt - snd_una`` of them are in flight, the rest
@@ -44,14 +35,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, TcpSegment
+from .wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
 
 MSS = 1460
 WINDOW = 8192  # advertised by both ends, never changed
 
 _SEQ_MASK = 0xFFFFFFFF
 
-# the states in which an arriving segment is data and ACKs, for _data_in
+# the synchronized states, in which an arriving segment is data and ACKs
 DATA_STATES = frozenset(("established", "fin_wait"))
 
 
@@ -107,47 +98,40 @@ class TcpEndpoint:
         self.state = "syn_sent"
         self._transmit(TCP_SYN)
 
-    def passive_open(self, syn: TcpSegment) -> None:
-        self.rcv_nxt = seq_add(syn.seq, 1)
-        self.peer_window = syn.window
+    def passive_open(self, seq: int, window: int) -> None:
+        """Answer a SYN carrying ``seq`` and ``window``."""
+        self.rcv_nxt = seq_add(seq, 1)
+        self.peer_window = window
         self.state = "syn_rcvd"
         self._transmit(TCP_SYN | TCP_ACK)
 
     # -- input -------------------------------------------------------------------
 
-    def segment_in(self, seg: TcpSegment) -> None:
+    def segment_in(self, seq: int, ack: int, flags: int, window: int, payload: bytes) -> None:
+        """One segment from the peer, as ``decode_tcp_frame`` gives its fields."""
         state = self.state
-        if state == "closed":
+        if flags & TCP_RST:
+            if state != "closed":
+                self._on_reset()
             return
-        if seg.rst:
-            self._on_reset()
-            return
-        if state == "syn_sent":
-            if seg.syn and seg.ack_flag and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.rcv_nxt = seq_add(seg.seq, 1)
-                self.peer_window = seg.window
-                self.state = "established"
-                self._transmit(TCP_ACK)
-                self._on_establish()
-                self._pump()
-            return
-        if state == "syn_rcvd":
-            if seg.ack_flag and not seg.syn and seg.ack == seq_add(self.iss, 1):
-                self.snd_una = seg.ack
-                self.state = "established"
-                self._on_establish()
-                self._data_segment(seg)
-            return
-        if state in DATA_STATES:
-            self._data_segment(seg)
-
-    def _data_segment(self, seg: TcpSegment) -> None:
-        self._data_in(seg.seq, seg.ack, seg.ack_flag, seg.window, seg.payload, seg.fin)
-
-    def _data_in(self, seq: int, ack: int, ack_flag: bool, window: int, payload: bytes, fin: bool) -> None:
-        """A segment in a synchronized state, given as its fields."""
-        if ack_flag:
+        if state not in DATA_STATES:
+            if state == "syn_sent":
+                if flags & (TCP_SYN | TCP_ACK) == TCP_SYN | TCP_ACK and ack == seq_add(self.iss, 1):
+                    self.snd_una = ack
+                    self.rcv_nxt = seq_add(seq, 1)
+                    self.peer_window = window
+                    self.state = "established"
+                    self._transmit(TCP_ACK)
+                    self._on_establish()
+                    self._pump()
+                return
+            if state != "syn_rcvd" or flags & (TCP_SYN | TCP_ACK) != TCP_ACK or ack != seq_add(self.iss, 1):
+                return  # closed or connecting, or not the ACK that completes the handshake
+            self.snd_una = ack
+            self.state = "established"
+            self._on_establish()
+        # synchronized: data and ACKs (header prediction's path)
+        if flags & TCP_ACK:
             self._process_ack(ack, window)
         reack = False  # out of order or duplicate: re-ack what we have
         if payload:
@@ -157,7 +141,7 @@ class TcpEndpoint:
             else:
                 self.drop_counts["tcp_out_of_order"] += 1
                 reack = True
-        if fin:
+        if flags & TCP_FIN:
             if not self.peer_fin and seq_add(seq, len(payload)) == self.rcv_nxt:
                 self.peer_fin = True
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)

@@ -12,9 +12,9 @@ sequence numbers by the engine in ``tcp.py``, to which a flow adds a
 500 ms retransmit timer with 5 retries.  Frames cross the device boundary
 as bytes, each encoded once: ``guest_frame_in`` takes the guest's frame as
 the device read it, and ``poll_frames_out`` returns frames ready for
-``MacDevice.receive``.  A data or ACK segment of a synchronized flow goes
-to the engine by header prediction (see ``tcp.py``); ``fast_path_frames``
-counts those frames.
+``MacDevice.receive``.  ``guest_frame_in`` parses a TCP frame once and
+gives it to its flow's one input, ``segment_in`` (see ``tcp.py``); ARP and
+DHCP frames go through the object codecs.
 
 Threading: the instance's one event loop thread owns all of this state and
 every host socket, which it watches through ``EventLoop.watch``.  A flow
@@ -38,7 +38,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .tcp import DATA_STATES, MSS, TcpEndpoint, seq_add
+from .tcp import MSS, TcpEndpoint, seq_add
 from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
     ARP_OP_REPLY,
@@ -51,7 +51,6 @@ from .wire import (
     DHCP_REQUEST,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
-    IPPROTO_TCP,
     IPPROTO_UDP,
     TCP_ACK,
     TCP_FIN,
@@ -64,13 +63,11 @@ from .wire import (
     EthernetFrame,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     UdpDatagram,
     decode_arp,
     decode_dhcp,
     decode_frame,
     decode_ipv4,
-    decode_tcp,
     decode_tcp_frame,
     decode_udp,
     encode_arp,
@@ -243,8 +240,9 @@ class NatFlow(TcpEndpoint):
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
         )
 
-    def start_outbound(self, syn: TcpSegment) -> None:
-        self.rcv_nxt = seq_add(syn.seq, 1)  # so a refused connect is answered with RST-ACK
+    def start_outbound(self, seq: int, window: int) -> None:
+        """Connect to the host for the guest's SYN, which carries ``seq`` and ``window``."""
+        self.rcv_nxt = seq_add(seq, 1)  # so a refused connect is answered with RST-ACK
         self.state = "connecting"
         self._handshake_timer = self.stack.loop.call_later(
             HANDSHAKE_TIMEOUT_S, self._handshake_timeout
@@ -257,12 +255,12 @@ class NatFlow(TcpEndpoint):
         except OSError as exc:  # out of descriptors, say: refuse as a failed connect would
             err = exc.errno or errno.EIO
         if err != errno.EINPROGRESS:
-            self._connect_done(syn, err)
+            self._connect_done(seq, window, err)
             return
         self._events = selectors.EVENT_WRITE  # writable once the connect is through
-        self.stack.loop.watch(sock, self._events, lambda _ready: self._connect_done(syn))
+        self.stack.loop.watch(sock, self._events, lambda _ready: self._connect_done(seq, window))
 
-    def _connect_done(self, syn: TcpSegment, err: int | None = None) -> None:
+    def _connect_done(self, seq: int, window: int, err: int | None = None) -> None:
         if self.state != "connecting":
             return
         if err is None:
@@ -271,7 +269,7 @@ class NatFlow(TcpEndpoint):
             self._transmit(TCP_RST | TCP_ACK)
             self._teardown()
             return
-        self.passive_open(syn)
+        self.passive_open(seq, window)
         self._watch(0)
         self._arm_retransmit()
 
@@ -494,7 +492,6 @@ class UserNetStack:
         self._ident = 0
         self.drop_counts: Counter = Counter()
         self.frames_from_guest = 0
-        self.fast_path_frames = 0  # of those, the ones header prediction took
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -567,27 +564,34 @@ class UserNetStack:
     def guest_frame_in(self, raw: bytes) -> None:
         """Demultiplex one frame transmitted by the guest."""
         self.frames_from_guest += 1
-        if not (self._flows and self._fast_path(raw)):
-            self._full_path(raw)
-
-    def _fast_path(self, raw: bytes) -> bool:
-        """Give a predicted segment of a synchronized flow to its engine;
-        False, having changed nothing, for any other frame."""
         fields = decode_tcp_frame(raw)
         if fields is None:
-            return False
-        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload = fields
-        flow = self._flows.get((src_ip, src_port, dst_ip, dst_port))
-        if flow is None or flow.state not in DATA_STATES:
-            return False
+            self._non_tcp_in(raw)
+            return
+        if fields.__class__ is str:
+            self.drop_counts[fields] += 1
+            return
+        src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, payload = fields
         known = self._arp_table.get(src_ip)
-        if known is None or known.octets != src_mac:
-            return False
-        self.fast_path_frames += 1
-        flow._data_in(seq, ack, True, window, payload, False)
-        return True
+        if (known is None or known.octets != src_mac) and src_ip != b"\x00\x00\x00\x00":
+            self._arp_table[src_ip] = MacAddress(src_mac)
+        if payload is None:
+            self.drop_counts["tcp_malformed"] += 1
+            return
+        key = (src_ip, src_port, dst_ip, dst_port)
+        flow = self._flows.get(key)
+        if flow is not None:
+            flow.segment_in(seq, ack, flags, window, payload)
+        elif flags & (TCP_SYN | TCP_ACK) == TCP_SYN and not self.subnet.contains(dst_ip):
+            flow = NatFlow(self, guest_ip=src_ip, guest_port=src_port, remote_ip=dst_ip, remote_port=dst_port)
+            self._flows[key] = flow
+            flow.start_outbound(seq, window)
+        else:
+            # Unsolicited / unknown-flow traffic is silently dropped, mirroring
+            # the block-all-inbound firewall behaviour.
+            self.drop_counts["tcp_no_flow"] += 1
 
-    def _full_path(self, raw: bytes) -> None:
+    def _non_tcp_in(self, raw: bytes) -> None:
         try:
             frame = decode_frame(raw)
         except DecodeError:
@@ -638,8 +642,6 @@ class UserNetStack:
             self._arp_table[pkt.src_ip] = frame.src
         if pkt.protocol == IPPROTO_UDP:
             self._udp_in(frame, pkt)
-        elif pkt.protocol == IPPROTO_TCP:
-            self._tcp_in(pkt)
         else:
             self.drop_counts["ip_proto"] += 1
 
@@ -660,32 +662,6 @@ class UserNetStack:
         reply = self.dhcp_step(msg)
         if reply is not None:
             self._send_dhcp_to_guest(reply)
-
-    def _tcp_in(self, pkt: Ipv4Packet) -> None:
-        try:
-            seg = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
-        except DecodeError:
-            self.drop_counts["tcp_malformed"] += 1
-            return
-        key = (pkt.src_ip, seg.src_port, pkt.dst_ip, seg.dst_port)
-        flow = self._flows.get(key)
-        if flow is not None:
-            flow.segment_in(seg)
-            return
-        if seg.syn and not seg.ack_flag and not self.subnet.contains(pkt.dst_ip):
-            flow = NatFlow(
-                self,
-                guest_ip=pkt.src_ip,
-                guest_port=seg.src_port,
-                remote_ip=pkt.dst_ip,
-                remote_port=seg.dst_port,
-            )
-            self._flows[key] = flow
-            flow.start_outbound(seg)
-            return
-        # Unsolicited / unknown-flow traffic is silently dropped, mirroring
-        # the block-all-inbound firewall behaviour.
-        self.drop_counts["tcp_no_flow"] += 1
 
     # -- DHCP server ---------------------------------------------------------
 

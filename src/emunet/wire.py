@@ -5,14 +5,15 @@ TCP without options on encode (RFC 793), DHCP (RFC 2131) and HTTP/1.1
 message units.  No frame check sequence is carried on the virtual wire;
 frames are payload-only and zero-padded to the 60 byte minimum.
 
-Most formats have an object codec (``decode_tcp`` returns a ``TcpSegment``,
-and so on).  TCP data and ACK segments of established connections, nearly
-every frame on the wire, also have a flat one: ``decode_tcp_frame`` reads
-the 54-byte Ethernet + IPv4 + TCP header with one ``struct.Struct`` and
-returns its fields, and ``encode_tcp_frame``, the one encoder of TCP frames,
-writes a whole frame with the same ``Struct``.  The TCP checksum is computed
-with the pseudo-header (and, on encode, the other header words) folded into
-the initial sum, so ``_sum16`` runs once over the segment.
+ARP, IPv4, UDP and DHCP have object codecs (``decode_arp`` returns an
+``ArpPacket``, and so on).  TCP has a flat one instead, since nearly every
+frame on the wire is TCP: ``decode_tcp_frame`` parses a whole Ethernet +
+IPv4 + TCP frame in one pass, reading the 54-byte header with one
+``struct.Struct``, and returns its fields, or the name of the layer that is
+malformed; ``encode_tcp_frame``, the one encoder of TCP frames, writes a
+whole frame with the same ``Struct``.  The TCP checksum is computed with the
+pseudo-header (and, on encode, the other header words) folded into the
+initial sum, so ``_sum16`` runs once over the segment.
 
 All functions here are pure and safe to call from any thread.
 """
@@ -258,96 +259,42 @@ TCP_PSH = 0x08
 TCP_ACK = 0x10
 
 
-@dataclass
-class TcpSegment:
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    syn: bool = False
-    ack_flag: bool = False
-    fin: bool = False
-    rst: bool = False
-    psh: bool = False
-    window: int = 8192
-    payload: bytes = b""
-
-
-def encode_tcp(seg: TcpSegment, src_ip: bytes, dst_ip: bytes) -> bytes:
-    flags = (
-        (TCP_FIN if seg.fin else 0)
-        | (TCP_SYN if seg.syn else 0)
-        | (TCP_RST if seg.rst else 0)
-        | (TCP_PSH if seg.psh else 0)
-        | (TCP_ACK if seg.ack_flag else 0)
-    )
-    header = bytearray(
-        struct.pack(
-            "!HHIIBBHHH",
-            seg.src_port, seg.dst_port,
-            seg.seq & 0xFFFFFFFF, seg.ack & 0xFFFFFFFF,
-            5 << 4, flags, seg.window, 0, 0,
-        )
-    )
-    checksum = tcp_checksum(src_ip, dst_ip, bytes(header) + seg.payload)
-    struct.pack_into("!H", header, 16, checksum)
-    return bytes(header) + seg.payload
-
-
-def decode_tcp(raw: bytes, src_ip: bytes, dst_ip: bytes) -> TcpSegment:
-    if len(raw) < 20:
-        raise DecodeError("truncated TCP header")
-    if _sum16(raw, _sum16(src_ip + dst_ip + struct.pack("!BBH", 0, IPPROTO_TCP, len(raw)))) != 0xFFFF:
-        raise DecodeError("TCP checksum mismatch")
-    src_port, dst_port, seq, ack, off_flags, flags, window = struct.unpack_from("!HHIIBBH", raw, 0)
-    offset = (off_flags >> 4) * 4
-    if offset < 20 or offset > len(raw):
-        raise DecodeError(f"bad TCP data offset {offset}")
-    return TcpSegment(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq=seq,
-        ack=ack,
-        syn=bool(flags & TCP_SYN),
-        ack_flag=bool(flags & TCP_ACK),
-        fin=bool(flags & TCP_FIN),
-        rst=bool(flags & TCP_RST),
-        psh=bool(flags & TCP_PSH),
-        window=window,
-        payload=bytes(raw[offset:]),
-    )
-
-
 # Ethernet II, IPv4 and TCP headers without options: the header of every
-# frame decode_tcp_frame reads and encode_tcp_frame writes.
+# frame encode_tcp_frame writes, and the fixed part of every one
+# decode_tcp_frame reads.
 TCP_FRAME = struct.Struct("!6s6sHBBHHHBBH4s4sHHIIBBHHH")
 _TTL = 64
 
 
-def decode_tcp_frame(raw: bytes) -> tuple | None:
-    """Fields of a plain ACK or ACK|PSH segment of an option-free,
-    unfragmented IPv4/TCP frame whose two checksums verify:
-    ``(src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, payload)``.
+def decode_tcp_frame(raw: bytes) -> tuple | str | None:
+    """Parse an IPv4/TCP frame, whatever its flags, in one pass.
 
-    Any other frame, a malformed one included, returns None rather than
-    raising: the caller takes it down the full decode path, which counts
-    what is wrong with it.
+    Returns ``(src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags,
+    window, payload)``, with TCP options skipped by the data offset.  The
+    payload is None when the IPv4 header is sound but the TCP segment is not
+    (truncated, a bad data offset or checksum): the caller may still learn
+    from the addresses, and counts ``tcp_malformed``.  A frame whose IPv4
+    header is unsound (options, a fragment, a bad length or checksum)
+    returns the string ``"ipv4_malformed"``.  A frame that is not IPv4
+    carrying TCP returns None, for the object codecs.
     """
-    if len(raw) < 54:
-        return None
+    size = len(raw)
+    if size < 54:  # too short for a TCP header: pad, so the one Struct reads it
+        if size < 34 or raw[12:14] != b"\x08\x00" or raw[23] != IPPROTO_TCP:
+            return None
+        raw = bytes(raw) + bytes(54 - size)
     (_dst, src_mac, ethertype, ver_ihl, _tos, total, _ident, frag, _ttl, proto, _hsum,
      src_ip, dst_ip, src_port, dst_port, seq, ack, offset, flags, window, _tsum, _urg,
      ) = TCP_FRAME.unpack_from(raw)
+    if ethertype != ETHERTYPE_IPV4 or proto != IPPROTO_TCP:
+        return None
     end = ETH_HEADER_LEN + total
-    if (
-        ethertype != ETHERTYPE_IPV4 or ver_ihl != 0x45 or proto != IPPROTO_TCP
-        or frag & 0x3FFF or offset != 0x50 or flags & ~TCP_PSH != TCP_ACK
-        or total < 40 or end > len(raw)
-    ):
-        return None
-    if ipv4_checksum(raw[14:34]) or tcp_checksum(src_ip, dst_ip, raw[34:end]):
-        return None
-    return src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, window, raw[54:end]
+    if ver_ihl != 0x45 or frag & 0x3FFF or total < 20 or end > size or ipv4_checksum(raw[14:34]):
+        return "ipv4_malformed"
+    start = 34 + (offset >> 4 << 2)
+    if start < 54 or start > end or tcp_checksum(src_ip, dst_ip, raw[34:end]):
+        return src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, None
+    return src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, raw[start:end]
 
 
 def encode_tcp_frame(
@@ -368,8 +315,8 @@ def encode_tcp_frame(
     """One TCP segment as a whole frame, zero-padded to the 60 byte minimum.
 
     ``addr_sum`` is ``int.from_bytes(src_ip + dst_ip, "big")``, which an
-    endpoint computes once: both checksums start from it.  The bytes are
-    those ``encode_frame`` of ``encode_ipv4`` of ``encode_tcp`` gives.
+    endpoint computes once: both checksums start from it.  The TCP header
+    has no options, TTL is 64 and no IPv4 flag is set.
     """
     total = 40 + len(payload)
     if total > ETH_MAX_PAYLOAD:

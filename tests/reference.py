@@ -8,6 +8,7 @@ module free of imports from emunet so the oracle side stays independent.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # Checksums: straight-loop 16-bit ones-complement accumulator.
@@ -42,6 +43,96 @@ def reference_decode_frame(raw: bytes) -> dict:
         "ethertype": (raw[12] << 8) | raw[13],
         "payload": bytes(raw[14:]),
     }
+
+
+def reference_decode_ipv4(raw: bytes) -> dict:
+    """An IPv4 packet as RFC 791 reads it; ValueError for what the stacks
+    count as ``ipv4_malformed``: a bad version or header checksum, options,
+    a fragment, or a total length outside the bytes given."""
+    if len(raw) < 20:
+        raise ValueError("shorter than the 20 byte IPv4 header")
+    if raw[0] != 0x45:
+        raise ValueError("not version 4, or a header with options")
+    if (raw[6] & 0x3F) or raw[7]:
+        raise ValueError("a fragment")
+    if ones_complement_checksum(raw[:20]) != 0:
+        raise ValueError("header checksum mismatch")
+    total = (raw[2] << 8) | raw[3]
+    if not 20 <= total <= len(raw):
+        raise ValueError(f"total length {total}")
+    return {"src": bytes(raw[12:16]), "dst": bytes(raw[16:20]), "protocol": raw[9], "payload": bytes(raw[20:total])}
+
+
+# ---------------------------------------------------------------------------
+# TCP segment codec (RFC 9293 section 3.1), the object form of a segment.
+
+TCP_FIN, TCP_SYN, TCP_RST, TCP_PSH, TCP_ACK = 0x01, 0x02, 0x04, 0x08, 0x10
+OPT_MSS = bytes((2, 4, 1460 >> 8, 1460 & 0xFF))  # maximum segment size 1460: a data offset of 6
+OPT_TIMESTAMP = bytes((1, 1, 8, 10)) + bytes(range(8))  # NOP, NOP, timestamps: a data offset of 8
+
+
+@dataclass
+class TcpSegment:
+    src_port: int
+    dst_port: int
+    seq: int
+    ack: int
+    syn: bool = False
+    ack_flag: bool = False
+    fin: bool = False
+    rst: bool = False
+    psh: bool = False
+    window: int = 8192
+    payload: bytes = b""
+
+    @property
+    def flags(self) -> int:
+        return (
+            (TCP_FIN if self.fin else 0) | (TCP_SYN if self.syn else 0) | (TCP_RST if self.rst else 0)
+            | (TCP_PSH if self.psh else 0) | (TCP_ACK if self.ack_flag else 0)
+        )
+
+
+def encode_tcp(seg: TcpSegment, src_ip: bytes, dst_ip: bytes, options: bytes = b"") -> bytes:
+    """The segment's bytes, checksummed; ``options`` (a multiple of 4 bytes)
+    go between the 20 byte header and the payload."""
+    if len(options) % 4:
+        raise ValueError("TCP options must fill whole 32-bit words")
+    header = (
+        seg.src_port.to_bytes(2, "big") + seg.dst_port.to_bytes(2, "big")
+        + (seg.seq & 0xFFFFFFFF).to_bytes(4, "big") + (seg.ack & 0xFFFFFFFF).to_bytes(4, "big")
+        + bytes([(5 + len(options) // 4) << 4, seg.flags]) + seg.window.to_bytes(2, "big")
+    )
+    body = options + seg.payload
+    checksum = tcp_checksum_reference(src_ip, dst_ip, header + b"\x00\x00\x00\x00" + body)
+    return header + checksum.to_bytes(2, "big") + b"\x00\x00" + body
+
+
+def decode_tcp(raw: bytes, src_ip: bytes, dst_ip: bytes) -> TcpSegment:
+    """The segment ``raw`` holds, options skipped; ValueError for what the
+    stacks count as ``tcp_malformed``: truncation, a bad checksum, or a data
+    offset below 5 words or past the segment."""
+    if len(raw) < 20:
+        raise ValueError("shorter than the 20 byte TCP header")
+    if tcp_checksum_reference(src_ip, dst_ip, raw) != 0:
+        raise ValueError("TCP checksum mismatch")
+    offset = (raw[12] >> 4) * 4
+    if not 20 <= offset <= len(raw):
+        raise ValueError(f"data offset of {offset} bytes")
+    flags = raw[13]
+    return TcpSegment(
+        src_port=(raw[0] << 8) | raw[1],
+        dst_port=(raw[2] << 8) | raw[3],
+        seq=int.from_bytes(raw[4:8], "big"),
+        ack=int.from_bytes(raw[8:12], "big"),
+        syn=bool(flags & TCP_SYN),
+        ack_flag=bool(flags & TCP_ACK),
+        fin=bool(flags & TCP_FIN),
+        rst=bool(flags & TCP_RST),
+        psh=bool(flags & TCP_PSH),
+        window=(raw[14] << 8) | raw[15],
+        payload=bytes(raw[offset:]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from emunet.wire import (
     EthernetFrame,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     UdpDatagram,
     encode_frame,
     encode_ipv4,
-    encode_tcp,
     encode_udp,
     ip_to_bytes,
     ipv4_checksum,
@@ -40,6 +38,8 @@ from emunet.wire import (
 from helpers import free_port, http_get, make_instance, wait_for
 from reference import (
     ReferenceMac,
+    TcpSegment,
+    encode_tcp,
     multicast_hash_oracle,
     ones_complement_checksum,
     pad_frame,

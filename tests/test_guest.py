@@ -8,7 +8,9 @@ from emunet import device as dev
 from emunet import trace
 from emunet.device import Phy
 from emunet.guest import (
+    FIRST_LOCAL_PORT,
     DriverInitError,
+    EchoApp,
     RX_SLOTS,
     TX_SLOTS,
     http_handle,
@@ -27,18 +29,16 @@ from emunet.wire import (
     HttpRequest,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     decode_arp,
     decode_frame,
     decode_ipv4,
-    decode_tcp,
     encode_arp,
     encode_ipv4,
     encode_response,
-    encode_tcp,
     ip_to_bytes,
 )
 from helpers import boot, inject, stepped_instance
+from reference import OPT_MSS, TcpSegment, decode_tcp, encode_tcp
 
 GATEWAY_MAC = MacAddress.parse("52:55:0a:00:02:02")
 GATEWAY_IP = ip_to_bytes("10.0.2.2")
@@ -176,12 +176,12 @@ class _FakeClient:
         self.saw_rst = False
         self._cursor = len(inst.guest_tx)
 
-    def _send(self, **kwargs):
+    def _send(self, options=b"", **kwargs):
         seg = TcpSegment(
             src_port=self.src_port, dst_port=self.dst_port,
             seq=self.seq, ack=self.ack, window=8192, **kwargs,
         )
-        payload = encode_tcp(seg, GATEWAY_IP, GUEST_IP)
+        payload = encode_tcp(seg, GATEWAY_IP, GUEST_IP, options)
         pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, payload)
         inject(self.inst, 
             EthernetFrame(self.inst.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
@@ -238,6 +238,18 @@ class TestGuestTcpAndHttp:
             if f.ethertype == ETHERTYPE_IPV4
         ]
         assert any(seg.syn and seg.ack_flag for seg in replies)
+
+    def test_syn_with_an_mss_option_completes_the_handshake(self):
+        inst = stepped_instance()
+        boot(inst)
+        client = _FakeClient(inst)
+        client._send(syn=True, options=OPT_MSS)  # a data offset of 6
+        client._send(ack_flag=True)
+        conn = inst.guest.conns[(GATEWAY_IP, client.src_port, 80)]
+        assert conn.state == "established" and conn.rcv_nxt == client.seq
+        client.push(b"GET /hello HTTP/1.1\r\n\r\n")
+        assert bytes(client.received).endswith(b"Hello World!")
+        assert not inst.guest.drop_counts
 
     def test_full_http_exchange(self):
         inst = stepped_instance()
@@ -369,6 +381,23 @@ class TestInvariants:
         order = ["open_eth_mii_read", "open_eth_desc_write", "open_eth_start_xmit", "open_eth_receive"]
         positions = [events.index(name) for name in order]
         assert positions == sorted(positions)
+
+
+class TestConnectPorts:
+    def test_local_ports_wrap_within_the_range_and_skip_those_in_use(self):
+        inst = stepped_instance()
+        boot(inst)
+        guest = inst.guest
+        guest._next_port = 65535
+        last = guest.tcp_connect(GATEWAY_IP, 9, EchoApp)
+        wrapped = guest.tcp_connect(GATEWAY_IP, 9, EchoApp)
+        assert (last.local_port, wrapped.local_port) == (65535, FIRST_LOCAL_PORT)
+        guest._next_port = 65535
+        skipped = guest.tcp_connect(GATEWAY_IP, 9, EchoApp)  # 65535 and the first are in use
+        assert skipped.local_port == FIRST_LOCAL_PORT + 1
+        ports = (65535, FIRST_LOCAL_PORT, FIRST_LOCAL_PORT + 1)
+        assert set(guest.conns) == {(GATEWAY_IP, 9, port) for port in ports}
+        assert all(conn.state == "syn_sent" for conn in guest.conns.values())
 
 
 class TestOutOfOrder:

@@ -11,10 +11,14 @@ import pytest
 from emunet.guest import GuestTcpConn
 from emunet.tcp import seq_add
 from emunet.usernet import NatFlow
-from emunet.wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, TcpSegment, ip_to_bytes
+from emunet.wire import ETHERTYPE_IPV4, IPPROTO_TCP, TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
+from emunet.wire import EthernetFrame, Ipv4Packet, MacAddress, encode_frame, encode_ipv4, ip_to_bytes
 from helpers import boot, nat_stack, stepped_instance
+from reference import OPT_TIMESTAMP, TcpSegment, encode_tcp, tcp_checksum_reference
 
 PEER_ISS = 7000  # the far end's initial sequence number
+PEER_MAC = MacAddress.parse("52:54:00:aa:bb:cc")
+LOCAL_MAC = MacAddress.parse("52:54:00:dd:ee:ff")  # the receiving stack reads no destination MAC
 
 
 class _Recorder:
@@ -73,20 +77,41 @@ class _End:
             self.ep = GuestTcpConn(self.stack, 80, ip_to_bytes("10.0.2.2"), 49152, _Recorder)
             self.stack.conns[self.ep.key] = self.ep
             self.ep._emit = lambda *fields: self.sent.append(_segment(self.ep, *fields))
-            self.ep.passive_open(TcpSegment(src_port=49152, dst_port=80, seq=PEER_ISS, ack=0, syn=True))
+            self.ep.passive_open(PEER_ISS, 8192)
             self.peer_in(self.peer_nxt)
         assert self.ep.state == "established"
         self.sent.clear()
 
     def peer_in(self, seq, ack=None, **fields):
         """A segment from the far end; by default it acks all we sent."""
-        self.ep.segment_in(
-            TcpSegment(
-                src_port=self.ep.peer_port, dst_port=self.ep.local_port, seq=seq,
-                ack=self.ep.snd_nxt if ack is None else ack, ack_flag=True, window=8192,
-                **fields,
-            )
+        seg = self._peer_segment(seq, ack, **fields)
+        self.ep.segment_in(seg.seq, seg.ack, seg.flags, seg.window, seg.payload)
+
+    def _peer_segment(self, seq, ack=None, **fields):
+        return TcpSegment(
+            src_port=self.ep.peer_port, dst_port=self.ep.local_port, seq=seq,
+            ack=self.ep.snd_nxt if ack is None else ack, ack_flag=True, window=8192,
+            **fields,
         )
+
+    def frame_in(self, seq, options=b"", data_offset=None, **fields):
+        """The same segment as ``peer_in`` sends, as a frame through the
+        stack's TCP input, with TCP ``options``; ``data_offset``, in words,
+        overrides the header's, with the checksum made to fit it."""
+        seg = self._peer_segment(seq, **fields)
+        peer_ip = self.ep.guest_ip if self.kind == "nat" else self.ep.peer_ip
+        local_ip = self.ep.remote_ip if self.kind == "nat" else self.stack.ip
+        raw = bytearray(encode_tcp(seg, peer_ip, local_ip, options))
+        if data_offset is not None:
+            raw[12] = data_offset << 4
+            raw[16:18] = b"\x00\x00"
+            raw[16:18] = tcp_checksum_reference(peer_ip, local_ip, bytes(raw)).to_bytes(2, "big")
+        pkt = Ipv4Packet(peer_ip, local_ip, IPPROTO_TCP, bytes(raw))
+        frame = encode_frame(EthernetFrame(LOCAL_MAC, PEER_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt)))
+        if self.kind == "nat":
+            self.stack.guest_frame_in(frame)
+        else:
+            self.stack._frame_in(frame)
 
     def delivered(self):
         if self.kind == "guest":
@@ -166,3 +191,18 @@ def test_ack_frees_the_send_buffer_from_the_front(end):
     assert end.ep.send_buf == (bytes(range(200)) * 20)[1500:]
     end.peer_in(end.peer_nxt)
     assert end.ep.send_buf == b"" and end.ep.snd_una == end.ep.snd_nxt
+
+
+def test_option_bearing_data_segment_delivers_the_bytes_after_the_options(end):
+    end.frame_in(end.peer_nxt, OPT_TIMESTAMP, payload=b"after the options", psh=True)
+    assert end.delivered() == [("data", b"after the options")]
+    assert end.ep.rcv_nxt == seq_add(end.peer_nxt, len(b"after the options"))
+    assert not end.stack.drop_counts
+
+
+@pytest.mark.parametrize("data_offset", [4, 15], ids=["below_5", "past_the_segment"])
+def test_bad_data_offset_counts_tcp_malformed(end, data_offset):
+    rcv_nxt = end.ep.rcv_nxt
+    end.frame_in(end.peer_nxt, data_offset=data_offset, payload=b"never delivered")
+    assert end.stack.drop_counts == {"tcp_malformed": 1}
+    assert end.delivered() == [] and end.sent == [] and end.ep.rcv_nxt == rcv_nxt

@@ -21,24 +21,25 @@ from emunet.wire import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
+    TCP_ACK,
+    TCP_RST,
+    TCP_SYN,
     ArpPacket,
     DhcpMessage,
     EthernetFrame,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     decode_arp,
     decode_dhcp,
     decode_ipv4,
-    decode_tcp,
     decode_udp,
     encode_arp,
     encode_frame,
     encode_ipv4,
-    encode_tcp,
     ip_to_bytes,
 )
 from helpers import advance, frames_out, ipv4_with_flags, nat_stack, step, stepped_loop, timers
+from reference import TcpSegment, decode_tcp, encode_tcp
 
 GUEST_MAC = MacAddress.parse("52:54:00:12:34:56")
 GUEST_MAC2 = MacAddress.parse("52:54:00:12:34:57")
@@ -327,22 +328,14 @@ class TestFlowTimers:
         """A flow past its handshake, with 3,000 host bytes sent and none acked."""
         stack, flow, far = self._flow_with_socketpair()
         far.settimeout(5)
-        flow.segment_in(
-            TcpSegment(
-                src_port=80, dst_port=49152, seq=7000, ack=(flow.iss + 1) & 0xFFFFFFFF,
-                syn=True, ack_flag=True, window=8192,
-            )
-        )
+        flow.segment_in(7000, (flow.iss + 1) & 0xFFFFFFFF, TCP_SYN | TCP_ACK, 8192, b"")
         flow.host_data((bytes(range(256)) * 12)[:3000])
         segs = self._tcp_frames(stack)
         assert [len(seg.payload) for seg in segs] == [0, 0, 1460, 1460, 80]  # SYN, ACK, data
         return stack, flow, far
 
     def _guest_ack(self, flow, ack):
-        flow.segment_in(
-            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=ack, ack_flag=True,
-                       window=8192)
-        )
+        flow.segment_in(flow.rcv_nxt, ack, TCP_ACK, 8192, b"")
 
     def test_unacked_data_resent_from_snd_una_with_current_ack(self):
         from emunet.usernet import MSS, RETRANSMIT_S
@@ -418,15 +411,10 @@ class TestFlowTimers:
         stack, flow, far = self._established_flow()
         flow.sock.setblocking(False)  # as every flow's socket is
         data = bytes(range(256)) * 16384  # 4 MiB: more than the socket pair buffers
-        flow.segment_in(
-            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=flow.snd_una,
-                       ack_flag=True, window=8192, payload=data[:1000])
-        )
+        flow.segment_in(flow.rcv_nxt, flow.snd_una, TCP_ACK, 8192, data[:1000])
         flow._deliver(data[1000:])  # as if more segments came in the same settle pass
         assert flow.out_buf == data  # nothing sent before the pass ends
-        flow.segment_in(
-            TcpSegment(src_port=80, dst_port=49152, seq=flow.rcv_nxt, ack=flow.snd_una, rst=True)
-        )
+        flow.segment_in(flow.rcv_nxt, flow.snd_una, TCP_RST, 8192, b"")
         assert flow.state == "closed"
         received = bytearray()
         while chunk := far.recv(65536):

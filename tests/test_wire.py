@@ -1,6 +1,8 @@
 """Wire format tests: framing, checksums, packet round-trips, HTTP parsing."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,13 +19,19 @@ from emunet.wire import (
     HttpRequestParser,
     Ipv4Packet,
     MacAddress,
-    TcpSegment,
     UdpDatagram,
 )
 from helpers import boot, ipv4_with_flags, stepped_instance
+import reference
 from reference import (
+    OPT_MSS,
+    OPT_TIMESTAMP,
+    TcpSegment,
+    decode_tcp,
+    encode_tcp,
     ones_complement_checksum,
     reference_decode_frame,
+    reference_decode_ipv4,
     tcp_checksum_reference,
 )
 
@@ -133,16 +141,21 @@ class TestChecksums:
 
     def test_tcp_syn_self_verifies(self):
         src, dst = wire.ip_to_bytes("10.0.2.2"), wire.ip_to_bytes("10.0.2.15")
-        seg = TcpSegment(49152, 80, seq=1000, ack=0, syn=True)
-        raw = wire.encode_tcp(seg, src, dst)
+        raw = wire.encode_tcp_frame(
+            bytes(6), bytes(6), src, dst, int.from_bytes(src + dst, "big"), 0,
+            49152, 80, 1000, 0, wire.TCP_SYN, 8192, b"",
+        )[34:54]
         pseudo = src + dst + bytes([0, 6]) + len(raw).to_bytes(2, "big")
         assert ones_complement_checksum(pseudo + raw) == 0
 
     def test_tcp_odd_payload_self_verifies(self):
         src, dst = wire.ip_to_bytes("10.0.2.2"), wire.ip_to_bytes("10.0.2.15")
-        seg = TcpSegment(49152, 80, seq=1, ack=2, ack_flag=True, payload=b"x")
-        raw = wire.encode_tcp(seg, src, dst)
-        assert wire.decode_tcp(raw, src, dst).payload == b"x"
+        raw = wire.encode_tcp_frame(
+            bytes(6), bytes(6), src, dst, int.from_bytes(src + dst, "big"), 0,
+            49152, 80, 1, 2, wire.TCP_ACK, 8192, b"x",
+        )
+        assert tcp_checksum_reference(src, dst, raw[34:55]) == 0
+        assert wire.decode_tcp_frame(raw)[-1] == b"x"
 
     def test_tcp_fixed_segment_matches_reference(self):
         src, dst = wire.ip_to_bytes("10.0.2.15"), wire.ip_to_bytes("10.0.2.2")
@@ -234,16 +247,16 @@ class TestTcpUdpRoundtrip:
         syn, ackf, fin, rst, psh = flags
         src, dst = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
         seg = TcpSegment(sp, dp, seq, ack, syn, ackf, fin, rst, psh, window, payload)
-        decoded = wire.decode_tcp(wire.encode_tcp(seg, src, dst), src, dst)
+        decoded = decode_tcp(encode_tcp(seg, src, dst), src, dst)
         assert decoded == seg
 
     def test_tcp_bad_checksum_rejected(self):
         src, dst = b"\x01" * 4, b"\x02" * 4
-        raw = bytearray(wire.encode_tcp(TcpSegment(1, 2, 3, 4), src, dst))
+        raw = bytearray(encode_tcp(TcpSegment(1, 2, 3, 4), src, dst))
         raw[-1] ^= 0x01 if len(raw) > 20 else 0
         raw[16] ^= 0xFF
-        with pytest.raises(DecodeError):
-            wire.decode_tcp(bytes(raw), src, dst)
+        with pytest.raises(ValueError):
+            decode_tcp(bytes(raw), src, dst)
 
     @given(sp=st.integers(1, 65535), dp=st.integers(1, 65535), payload=st.binary(max_size=300))
     @settings(max_examples=100)
@@ -273,7 +286,7 @@ class TestTcpFrame:
             fin=bool(flags & wire.TCP_FIN), rst=bool(flags & wire.TCP_RST), psh=bool(flags & wire.TCP_PSH),
             window=window, payload=payload,
         )
-        pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, wire.encode_tcp(seg, src_ip, dst_ip), ident=ident)
+        pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, encode_tcp(seg, src_ip, dst_ip), ident=ident)
         expected = wire.encode_frame(
             EthernetFrame(MacAddress(dst_mac), MacAddress(src_mac), wire.ETHERTYPE_IPV4, wire.encode_ipv4(pkt))
         )
@@ -282,27 +295,93 @@ class TestTcpFrame:
             sp, dp, seq, ack, flags, window, payload,
         )
         assert raw == expected
-        fields = wire.decode_tcp_frame(raw)
-        if flags & ~wire.TCP_PSH == wire.TCP_ACK:
-            assert fields == (src_mac, src_ip, dst_ip, sp, dp, seq, ack, window, payload)
-        else:
-            assert fields is None
+        assert wire.decode_tcp_frame(raw) == (src_mac, src_ip, dst_ip, sp, dp, seq, ack, flags, window, payload)
 
-    def test_decode_returns_none_where_the_full_path_would_refuse_or_branch(self):
+    @given(
+        flags=st.integers(0, 0x1F), options=st.sampled_from([b"", OPT_MSS, OPT_TIMESTAMP]),
+        payload=st.binary(max_size=64), offset_words=st.sampled_from([None, None, 0, 4, 15]),
+        damage=st.sampled_from([None, None, 14 + 10, 14 + 20 + 16, 14 + 9, 14 + 6, 14, 12, 2]),
+        size=st.sampled_from([None, None, 20, 40, 53, 60]),
+    )
+    @settings(max_examples=300)
+    def test_decode_agrees_with_the_reference_decoders(self, flags, options, payload, offset_words, damage, size):
+        src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
+        raw = bytearray(tcp_frame(src_ip, dst_ip, TcpSegment(80, 49152, 1000, 2000, window=512, payload=payload),
+                                  options, flags))
+        if offset_words is not None:  # a data offset set by hand; the TCP checksum made to fit it
+            raw[14 + 20 + 12] = offset_words << 4
+            raw[50:52] = b"\x00\x00"
+            end = 14 + int.from_bytes(raw[16:18], "big")
+            raw[50:52] = tcp_checksum_reference(src_ip, dst_ip, bytes(raw[34:end])).to_bytes(2, "big")
+        if damage is not None:
+            raw[damage] ^= 0x01
+        raw = bytes(raw if size is None else raw[:size])
+        assert tcp_malformed_as_named(wire.decode_tcp_frame(raw)) == reference_tcp_frame(raw)
+
+    def test_decode_names_the_malformed_layer(self):
         src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
         good = wire.encode_tcp_frame(
             BCAST.octets, SRC.octets, src_ip, dst_ip, int.from_bytes(src_ip + dst_ip, "big"), 1,
             80, 49152, 1000, 2000, wire.TCP_ACK, 8192, b"data",
         )
-        assert wire.decode_tcp_frame(good) is not None
-        for offset in (24, 50, 57):  # IPv4 checksum, TCP checksum, payload
+        fields = (SRC.octets, src_ip, dst_ip, 80, 49152, 1000, 2000, wire.TCP_ACK, 8192)
+        assert wire.decode_tcp_frame(good) == (*fields, b"data")
+        for offset, layer in ((24, "ipv4"), (50, "tcp"), (57, "tcp")):  # a checksum, or the payload
             bad = bytearray(good)
             bad[offset] ^= 0x01
-            assert wire.decode_tcp_frame(bytes(bad)) is None
-        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x2000)) is None  # a fragment
-        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x4000)) is not None  # don't fragment
-        assert wire.decode_tcp_frame(good[:53]) is None
-        assert wire.decode_tcp_frame(good[:14] + good[14:16] + b"\x00\xff" + good[18:]) is None  # too long
+            expected = "ipv4_malformed" if layer == "ipv4" else (*fields, None)
+            assert wire.decode_tcp_frame(bytes(bad)) == expected
+        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x2000)) == "ipv4_malformed"  # a fragment
+        assert wire.decode_tcp_frame(ipv4_frame_with_flags(good, 0x4000)) == (*fields, b"data")  # don't fragment
+        assert wire.decode_tcp_frame(good[:53]) == "ipv4_malformed"  # shorter than its total length
+        assert wire.decode_tcp_frame(good[:14] + good[14:16] + b"\x00\xff" + good[18:]) == "ipv4_malformed"
+        seg = TcpSegment(80, 49152, 1000, 2000, ack_flag=True, payload=b"after")
+        assert wire.decode_tcp_frame(tcp_frame(src_ip, dst_ip, seg, OPT_TIMESTAMP))[-1] == b"after"
+        udp = bytearray(good)
+        udp[14 + 9] = wire.IPPROTO_UDP
+        assert wire.decode_tcp_frame(bytes(udp)) is None  # for the object codecs
+        assert wire.decode_tcp_frame(good[:33]) is None
+        assert wire.decode_tcp_frame(good[:12] + b"\x08\x06" + good[14:]) is None  # ARP
+
+
+def tcp_frame(src_ip: bytes, dst_ip: bytes, seg: TcpSegment, options: bytes = b"", flags: int | None = None) -> bytes:
+    """A TCP frame built by the oracle encoder, with ``flags`` in place of the segment's."""
+    segment = bytearray(encode_tcp(seg, src_ip, dst_ip, options))
+    if flags is not None:
+        segment[13] = flags
+        segment[16:18] = b"\x00\x00"
+        segment[16:18] = tcp_checksum_reference(src_ip, dst_ip, bytes(segment)).to_bytes(2, "big")
+    pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, bytes(segment))
+    return wire.encode_frame(EthernetFrame(BCAST, SRC, wire.ETHERTYPE_IPV4, wire.encode_ipv4(pkt)))
+
+
+def reference_tcp_frame(raw: bytes):
+    """What ``decode_tcp_frame`` should return, by the reference decoders."""
+    try:
+        frame = reference_decode_frame(raw)
+    except ValueError:
+        return None
+    if frame["ethertype"] != wire.ETHERTYPE_IPV4 or len(frame["payload"]) < 20 or frame["payload"][9] != 6:
+        return None
+    try:
+        pkt = reference_decode_ipv4(frame["payload"])
+    except ValueError:
+        return "ipv4_malformed"
+    try:
+        seg = decode_tcp(pkt["payload"], pkt["src"], pkt["dst"])
+    except ValueError:
+        return "tcp_malformed", frame["src"], pkt["src"], pkt["dst"]
+    return (frame["src"], pkt["src"], pkt["dst"], seg.src_port, seg.dst_port, seg.seq, seg.ack,
+            seg.flags, seg.window, seg.payload)
+
+
+def tcp_malformed_as_named(fields):
+    """A result of ``decode_tcp_frame`` whose payload is None, as its drop name
+    and the addresses a stack still learns from; the header fields of a bad
+    segment carry no meaning."""
+    if isinstance(fields, tuple) and fields[-1] is None:
+        return ("tcp_malformed", *fields[:3])
+    return fields
 
 
 def ipv4_frame_with_flags(raw: bytes, flags_offset: int) -> bytes:
@@ -412,3 +491,12 @@ class TestHttp:
     def test_response_encoding(self):
         resp = wire.HttpResponse(200, "OK", [("Content-Length", "2")], b"ok")
         assert wire.encode_response(resp) == b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+def test_reference_oracles_import_nothing_from_emunet():
+    """The stacks are checked against these oracles, so they share no code with them."""
+    tree = ast.parse(Path(reference.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "random" in modules  # the walk sees the imports there are
+    assert [name for name in modules if name.split(".")[0] in ("emunet", "")] == []
