@@ -13,6 +13,9 @@ a transmit scan and must not call back into the device.
 
 Every public operation emits one trace event named after the matching
 open_eth_* device function; update_irq only traces interrupt level changes.
+A device whose TraceConfig has no pattern skips its trace points altogether,
+as QEMU's trace_*() calls test the event's state before formatting: it
+decides so once, when it is built, and builds no closure and calls no emit.
 """
 
 from __future__ import annotations
@@ -174,12 +177,12 @@ class MacDevice:
         memory: GuestMemory,
         backend_send=None,
         trace: TraceConfig | None = None,
-        phy: Phy | None = None,
     ):
         self.memory = memory
         self.backend_send = backend_send or (lambda raw: None)
         self.trace = trace if trace is not None else NULL_TRACE
-        self.phy = phy or Phy()
+        self.tracing = bool(self.trace.patterns)  # False: every trace point is skipped
+        self.phy = Phy()
         self.regs: dict[int, int] = {}
         self.descriptors: list[list[int]] = [[0, 0] for _ in range(BD_COUNT)]
         self.tx_cursor = 0
@@ -211,30 +214,22 @@ class MacDevice:
 
     def reg_read(self, offset: int) -> int:
         if offset % 4 or offset not in self.regs:
-            self.trace.emit(
-                "open_eth_reg_read",
-                lambda: f"offset=0x{offset:x} value=0x0 unknown=1",
-            )
+            if self.tracing:
+                self.trace.emit("open_eth_reg_read", lambda: f"offset=0x{offset:x} value=0x0 unknown=1")
             return 0
         value = self.regs[offset]
-        self.trace.emit(
-            "open_eth_reg_read",
-            lambda: f"reg={REG_NAMES[offset]} value=0x{value:08x}",
-        )
+        if self.tracing:
+            self.trace.emit("open_eth_reg_read", lambda: f"reg={REG_NAMES[offset]} value=0x{value:08x}")
         return value
 
     def reg_write(self, offset: int, value: int) -> None:
         value &= 0xFFFFFFFF
         if offset % 4 or offset not in self.regs:
-            self.trace.emit(
-                "open_eth_reg_write",
-                lambda: f"offset=0x{offset:x} value=0x{value:08x} unknown=1",
-            )
+            if self.tracing:
+                self.trace.emit("open_eth_reg_write", lambda: f"offset=0x{offset:x} value=0x{value:08x} unknown=1")
             return
-        self.trace.emit(
-            "open_eth_reg_write",
-            lambda: f"reg={REG_NAMES[offset]} value=0x{value:08x}",
-        )
+        if self.tracing:
+            self.trace.emit("open_eth_reg_write", lambda: f"reg={REG_NAMES[offset]} value=0x{value:08x}")
         if offset == INT_SOURCE:
             self.regs[INT_SOURCE] &= ~value  # write-1-to-clear
             self.update_irq()
@@ -264,11 +259,13 @@ class MacDevice:
 
     def mii_read(self, phy_reg: int) -> int:
         value = self.phy.read(phy_reg & 0x1F)
-        self.trace.emit("open_eth_mii_read", lambda: f"reg={phy_reg} value=0x{value:04x}")
+        if self.tracing:
+            self.trace.emit("open_eth_mii_read", lambda: f"reg={phy_reg} value=0x{value:04x}")
         return value
 
     def mii_write(self, phy_reg: int, value: int) -> None:
-        self.trace.emit("open_eth_mii_write", lambda: f"reg={phy_reg} value=0x{value:04x}")
+        if self.tracing:
+            self.trace.emit("open_eth_mii_write", lambda: f"reg={phy_reg} value=0x{value:04x}")
         self.phy.write(phy_reg & 0x1F, value)
 
     # -- descriptors -------------------------------------------------------
@@ -277,10 +274,8 @@ class MacDevice:
         if not 0 <= index < BD_COUNT:
             raise DeviceError(f"descriptor index {index} out of range")
         len_flags, addr = self.descriptors[index]
-        self.trace.emit(
-            "open_eth_desc_read",
-            lambda: f"idx={index} len_flags=0x{len_flags:08x} addr=0x{addr:08x}",
-        )
+        if self.tracing:
+            self.trace.emit("open_eth_desc_read", lambda: f"idx={index} len_flags=0x{len_flags:08x} addr=0x{addr:08x}")
         return len_flags, addr
 
     def desc_write(self, index: int, len_flags: int, buffer_addr: int) -> None:
@@ -288,10 +283,11 @@ class MacDevice:
             raise DeviceError(f"descriptor index {index} out of range")
         len_flags &= 0xFFFFFFFF
         buffer_addr &= 0xFFFFFFFF
-        self.trace.emit(
-            "open_eth_desc_write",
-            lambda: f"idx={index} len_flags=0x{len_flags:08x} addr=0x{buffer_addr:08x}",
-        )
+        if self.tracing:
+            self.trace.emit(
+                "open_eth_desc_write",
+                lambda: f"idx={index} len_flags=0x{len_flags:08x} addr=0x{buffer_addr:08x}",
+            )
         self.descriptors[index][0] = len_flags
         self.descriptors[index][1] = buffer_addr
         if (
@@ -325,10 +321,8 @@ class MacDevice:
             flags &= ~BD_READY
             self.descriptors[slot][0] = (length << 16) | flags
             if raw is not None:
-                self.trace.emit(
-                    "open_eth_start_xmit",
-                    lambda slot=slot, length=length: f"slot={slot} len={length}",
-                )
+                if self.tracing:
+                    self.trace.emit("open_eth_start_xmit", lambda slot=slot, length=length: f"slot={slot} len={length}")
                 self.tx_frame_count += 1
                 self.backend_send(raw)
                 if flags & BD_IRQ:
@@ -341,10 +335,8 @@ class MacDevice:
 
     def receive(self, raw: bytes) -> bool:
         """Offer an inbound frame's bytes; returns True when written to an RX slot."""
-        self.trace.emit(
-            "open_eth_receive",
-            lambda: f"len={len(raw)} dst={raw[:6].hex(':')}",
-        )
+        if self.tracing:
+            self.trace.emit("open_eth_receive", lambda: f"len={len(raw)} dst={raw[:6].hex(':')}")
         if not self.regs[MODER] & MODER_RXEN:
             return False
         if not self._rx_filter(raw[:6]):
@@ -371,10 +363,8 @@ class MacDevice:
             self.regs[INT_SOURCE] |= INT_RXE
         flags &= ~BD_EMPTY
         self.descriptors[slot][0] = (len(raw) << 16) | flags
-        self.trace.emit(
-            "open_eth_receive_desc",
-            lambda: f"slot={slot} len={len(raw)}",
-        )
+        if self.tracing:
+            self.trace.emit("open_eth_receive_desc", lambda: f"slot={slot} len={len(raw)}")
         if flags & BD_WRAP or slot + 1 >= BD_COUNT:
             self.rx_cursor = tx_count
         else:
@@ -393,10 +383,8 @@ class MacDevice:
             index = multicast_hash_index(MacAddress(dst))
             table = (self.regs[HASH1] << 32) | self.regs[HASH0]
             accepted = bool(table >> index & 1)
-            self.trace.emit(
-                "open_eth_receive_mcast",
-                lambda: f"idx={index} accepted={int(accepted)}",
-            )
+            if self.tracing:
+                self.trace.emit("open_eth_receive_mcast", lambda: f"idx={index} accepted={int(accepted)}")
             return accepted
         return dst == self.programmed_mac()
 
@@ -417,4 +405,5 @@ class MacDevice:
         level = (self.regs[INT_SOURCE] & self.regs[INT_MASK]) != 0
         if level != self.irq_asserted:
             self.irq_asserted = level
-            self.trace.emit("open_eth_update_irq", lambda: f"level={int(level)}")
+            if self.tracing:
+                self.trace.emit("open_eth_update_irq", lambda: f"level={int(level)}")

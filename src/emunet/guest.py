@@ -10,11 +10,13 @@ Guest stdout is a log callable: one line when the address is bound, one
 line per served HTTP request.
 
 A received TCP frame is parsed once, by ``decode_tcp_frame``, and goes to
-its connection's one input, ``segment_in`` (see ``tcp.py``); ARP and DHCP
-frames go through the object codecs.  Every TCP segment the guest sends is
-one ``encode_tcp_frame``;
-while its next hop's MAC is unknown the frame waits in ``arp_pending`` with
-a zero destination MAC, which the ARP answer fills in.
+its connection's one input, ``segment_in`` (see ``tcp.py``); every other
+frame goes to the one non-TCP input, ``_non_tcp_in``, which reads ARP with
+``decode_arp`` and IPv4 with ``decode_udp_frame``.  Both inputs learn the
+sender's MAC by one rule, ``_learn``.  Every TCP segment the guest sends is
+one ``encode_tcp_frame``, and every DHCP message one ``encode_udp_frame``;
+while a segment's next hop's MAC is unknown the frame waits in
+``arp_pending`` with a zero destination MAC, which the ARP answer fills in.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import device as dev
-from .tcp import WINDOW, TcpEndpoint, seq_add
+from .tcp import WINDOW, TcpEndpoint, send_mss_for, seq_add
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -36,7 +38,6 @@ from .wire import (
     DHCP_OFFER,
     DHCP_REQUEST,
     ETHERTYPE_ARP,
-    ETHERTYPE_IPV4,
     IPPROTO_UDP,
     TCP_ACK,
     TCP_FIN,
@@ -46,29 +47,24 @@ from .wire import (
     ArpPacket,
     DecodeError,
     DhcpMessage,
-    EthernetFrame,
     HttpBodyTooLarge,
     HttpParseError,
     HttpRequest,
     HttpRequestParser,
     HttpResponse,
-    Ipv4Packet,
     MacAddress,
-    UdpDatagram,
     decode_arp,
     decode_dhcp,
-    decode_frame,
-    decode_ipv4,
     decode_tcp_frame,
-    decode_udp,
+    decode_udp_frame,
     encode_arp,
     encode_dhcp,
-    encode_frame,
-    encode_ipv4,
+    encode_eth_frame,
     encode_response,
     encode_tcp_frame,
-    encode_udp,
+    encode_udp_frame,
     ip_to_str,
+    tcp_mss_option,
 )
 
 DEFAULT_MAC = "52:54:00:12:34:56"
@@ -405,10 +401,7 @@ class GuestStack:
             self._count(fields)
             return
         src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, payload = fields
-        if src_ip != ZERO_IP:
-            known = self.arp_table.get(src_ip)
-            if known is None or known.octets != src_mac or src_ip in self.arp_pending:
-                self._learn(src_ip, MacAddress(src_mac))
+        self._learn(src_ip, src_mac)
         if dst_ip != self.ip:
             self._count("ip_proto" if dst_ip == BROADCAST_IP else "ip_not_for_us")
             return
@@ -417,9 +410,12 @@ class GuestStack:
             return
         conn = self.conns.get((src_ip, src_port, dst_port))
         if conn is not None:
+            if flags & TCP_SYN and conn.state == "syn_sent":  # the SYN-ACK to our SYN
+                conn.send_mss = send_mss_for(tcp_mss_option(raw))
             conn.segment_in(seq, ack, flags, window, payload)
         elif flags & (TCP_SYN | TCP_ACK) == TCP_SYN and dst_port in self.listeners:
             conn = GuestTcpConn(self, dst_port, src_ip, src_port, self.listeners[dst_port])
+            conn.send_mss = send_mss_for(tcp_mss_option(raw))
             self.conns[conn.key] = conn
             conn.passive_open(seq, window)
         elif not flags & TCP_RST:
@@ -427,86 +423,57 @@ class GuestStack:
             self._send_rst_for(src_ip, src_port, dst_port, seq, ack, flags, len(payload))
 
     def _non_tcp_in(self, raw: bytes) -> None:
-        try:
-            frame = decode_frame(raw)
-        except DecodeError:
-            self._count("frame_malformed")
+        """An ARP frame, or any frame ``decode_tcp_frame`` did not take,
+        checked one layer after another; the first check that fails names
+        the drop."""
+        if raw[12:14] == b"\x08\x06":
+            try:
+                pkt = decode_arp(raw[14:])
+            except DecodeError:
+                self._count("arp_malformed")
+                return
+            self._learn(pkt.sender_ip, pkt.sender_mac.octets)
+            if pkt.op == ARP_OP_REQUEST and self.ip is not None and pkt.target_ip == self.ip:
+                self._send_arp(ARP_OP_REPLY, pkt.sender_mac, pkt.sender_mac, pkt.sender_ip)
             return
-        if frame.ethertype == ETHERTYPE_ARP:
-            self._arp_in(frame)
-        elif frame.ethertype == ETHERTYPE_IPV4:
-            self._ipv4_in(frame)
+        fields = decode_udp_frame(raw)
+        if fields.__class__ is str:
+            self._count(fields)
+            return
+        src_mac, src_ip, dst_ip, protocol, _src_port, dst_port, payload = fields
+        self._learn(src_ip, src_mac)
+        # Before an address is bound, every UDP datagram may be DHCP's.
+        if dst_ip != BROADCAST_IP and dst_ip != self.ip and (self.ip is not None or protocol != IPPROTO_UDP):
+            self._count("ip_not_for_us")
+        elif protocol != IPPROTO_UDP:
+            self._count("ip_proto")
+        elif payload is None:
+            self._count("udp_malformed")
+        elif dst_port != 68:
+            self._count("udp_unhandled")
         else:
-            self._count("ethertype")
+            self._dhcp_in(payload)
 
     def _count(self, reason: str) -> None:
         self.drop_counts[reason] += 1
 
-    def _arp_in(self, frame: EthernetFrame) -> None:
-        try:
-            pkt = decode_arp(frame.payload)
-        except DecodeError:
-            self._count("arp_malformed")
+    def _learn(self, ip: bytes, mac: bytes) -> None:
+        """The one ARP-learning rule: a sender with an address is found at its
+        MAC, and the packets waiting for it as a next hop go out."""
+        if ip == ZERO_IP:
             return
-        if pkt.sender_ip != ZERO_IP:
-            self._learn(pkt.sender_ip, pkt.sender_mac)
-        if pkt.op == ARP_OP_REQUEST and self.ip is not None and pkt.target_ip == self.ip:
-            reply = ArpPacket(
-                op=ARP_OP_REPLY,
-                sender_mac=self.mac,
-                sender_ip=self.ip,
-                target_mac=pkt.sender_mac,
-                target_ip=pkt.sender_ip,
-            )
-            self._transmit_frame(pkt.sender_mac, ETHERTYPE_ARP, encode_arp(reply))
-
-    def _learn(self, ip: bytes, mac: MacAddress) -> None:
-        self.arp_table[ip] = mac
+        known = self.arp_table.get(ip)
+        if known is None or known.octets != mac:
+            self.arp_table[ip] = MacAddress(mac)
         queued = self.arp_pending.pop(ip, None)
         if queued:
             for frame in queued:
-                self.driver.transmit(mac.octets + frame[6:])
-
-    def _ipv4_in(self, frame: EthernetFrame) -> None:
-        try:
-            pkt = decode_ipv4(frame.payload)
-        except DecodeError:
-            self._count("ipv4_malformed")
-            return
-        if pkt.src_ip != ZERO_IP:
-            self._learn(pkt.src_ip, frame.src)
-        for_us = pkt.dst_ip == BROADCAST_IP or (self.ip is not None and pkt.dst_ip == self.ip)
-        if self.ip is None:
-            # Before an address is bound only DHCP traffic is interesting.
-            for_us = pkt.dst_ip in (BROADCAST_IP,) or pkt.protocol == IPPROTO_UDP
-        if not for_us:
-            self._count("ip_not_for_us")
-            return
-        if pkt.protocol == IPPROTO_UDP:
-            self._udp_in(pkt)
-        else:
-            self._count("ip_proto")
-
-    def _udp_in(self, pkt: Ipv4Packet) -> None:
-        try:
-            dgram = decode_udp(pkt.payload, pkt.src_ip, pkt.dst_ip)
-        except DecodeError:
-            self._count("udp_malformed")
-            return
-        if dgram.dst_port == 68:
-            self._dhcp_in(dgram.payload)
-        else:
-            self._count("udp_unhandled")
+                self.driver.transmit(mac + frame[6:])
 
     # -- DHCP client -----------------------------------------------------------
 
     def _dhcp_send_discover(self) -> None:
-        self._dhcp_state = "selecting"
-        msg = DhcpMessage(
-            op=1, xid=self._dhcp_xid, client_mac=self.mac, message_type=DHCP_DISCOVER
-        )
-        self._send_dhcp(msg)
-        self.schedule(1.0, self._dhcp_retry)
+        self._send_dhcp("selecting", DHCP_DISCOVER)
 
     def _dhcp_retry(self) -> None:
         if self._dhcp_state == "selecting":
@@ -515,30 +482,18 @@ class GuestStack:
             self._dhcp_send_request(self._dhcp_offer)
 
     def _dhcp_send_request(self, offer: DhcpMessage) -> None:
-        self._dhcp_state = "requesting"
-        msg = DhcpMessage(
-            op=1,
-            xid=self._dhcp_xid,
-            client_mac=self.mac,
-            message_type=DHCP_REQUEST,
-            requested_ip=offer.your_ip,
-            server_id=offer.server_id,
-        )
-        self._send_dhcp(msg)
-        self.schedule(1.0, self._dhcp_retry)
+        self._send_dhcp("requesting", DHCP_REQUEST, requested_ip=offer.your_ip, server_id=offer.server_id)
 
-    def _send_dhcp(self, msg: DhcpMessage) -> None:
-        dgram = UdpDatagram(src_port=68, dst_port=67, payload=encode_dhcp(msg))
-        raw_ip = encode_ipv4(
-            Ipv4Packet(
-                src_ip=ZERO_IP,
-                dst_ip=BROADCAST_IP,
-                protocol=IPPROTO_UDP,
-                payload=encode_udp(dgram, ZERO_IP, BROADCAST_IP),
-                ident=self._next_ident(),
-            )
-        )
-        self._transmit_frame(BROADCAST_MAC, ETHERTYPE_IPV4, raw_ip)
+    def _send_dhcp(self, state: str, message_type: int, **options) -> None:
+        """Broadcast one client message in ``state``, to be sent again in a
+        second if the state has not moved on."""
+        self._dhcp_state = state
+        msg = DhcpMessage(op=1, xid=self._dhcp_xid, client_mac=self.mac, message_type=message_type, **options)
+        self.driver.transmit(encode_udp_frame(
+            BROADCAST_MAC.octets, self.mac.octets, ZERO_IP, BROADCAST_IP, self._next_ident(), 68, 67,
+            encode_dhcp(msg),
+        ))
+        self.schedule(1.0, self._dhcp_retry)
 
     def _dhcp_in(self, payload: bytes) -> None:
         try:
@@ -628,7 +583,8 @@ class GuestStack:
             del queued[0]  # the oldest goes, as in Linux
             self._count("arp_queue_full")
         queued.append(frame)
-        self._send_arp_request(next_hop)  # with no ARP timer, each packet retries
+        # with no ARP timer, each packet retries
+        self._send_arp(ARP_OP_REQUEST, BROADCAST_MAC, ZERO_MAC, next_hop)
 
     def _next_ident(self) -> int:
         self._ident = (self._ident + 1) & 0xFFFF
@@ -649,16 +605,8 @@ class GuestStack:
                 return dst_ip  # on link
         return self.gateway_ip or dst_ip
 
-    def _send_arp_request(self, target_ip: bytes) -> None:
-        request = ArpPacket(
-            op=ARP_OP_REQUEST,
-            sender_mac=self.mac,
-            sender_ip=self.ip or ZERO_IP,
-            target_mac=ZERO_MAC,
-            target_ip=target_ip,
-        )
-        self._transmit_frame(BROADCAST_MAC, ETHERTYPE_ARP, encode_arp(request))
-
-    def _transmit_frame(self, dst: MacAddress, ethertype: int, payload: bytes) -> None:
-        raw = encode_frame(EthernetFrame(dst=dst, src=self.mac, ethertype=ethertype, payload=payload))
-        self.driver.transmit(raw)
+    def _send_arp(self, op: int, dst: MacAddress, target_mac: MacAddress, target_ip: bytes) -> None:
+        self.driver.transmit(encode_eth_frame(
+            dst.octets, self.mac.octets, ETHERTYPE_ARP,
+            encode_arp(ArpPacket(op, self.mac, self.ip or ZERO_IP, target_mac, target_ip)),
+        ))

@@ -27,6 +27,14 @@ a bare ACK follows only if the segment was out of order or a duplicate, or
 if no segment sent since has carried the new ``rcv_nxt`` (RFC 9293 section
 3.8.6.3, with no timer).
 
+Segments are cut at ``send_mss``: the peer's MSS option (RFC 9293 section
+3.7.1), which the owning stack reads from the peer's SYN or SYN-ACK with
+``wire.tcp_mss_option`` and passes through ``send_mss_for``, capped at our
+``MSS`` and held at least ``MIN_MSS``, as Linux's ``tcp_min_snd_mss`` holds it,
+so an option of 0 cannot make ``_pump`` cut empty segments.  A SYN with no
+option leaves 1460, not RFC 9293's default of 536: neither end of the
+virtual wire sends the option, and 536 would shrink every bulk segment.
+
 The window is fixed, and there is no SACK and no congestion control.  The
 engine itself never retransmits; the NAT adds a timer for that.
 """
@@ -38,6 +46,7 @@ from collections import Counter
 from .wire import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
 
 MSS = 1460
+MIN_MSS = 48  # the least segment size a peer's MSS option can ask for (Linux's tcp_min_snd_mss)
 WINDOW = 8192  # advertised by both ends, never changed
 
 _SEQ_MASK = 0xFFFFFFFF
@@ -48,6 +57,11 @@ DATA_STATES = frozenset(("established", "fin_wait"))
 
 def seq_add(a: int, n: int) -> int:
     return (a + n) & _SEQ_MASK
+
+
+def send_mss_for(option: int | None) -> int:
+    """The segment size to send a peer whose SYN carried MSS ``option``."""
+    return MSS if option is None else max(MIN_MSS, min(MSS, option))
 
 
 class TcpEndpoint:
@@ -64,6 +78,7 @@ class TcpEndpoint:
         self.rcv_nxt = 0
         self.last_ack_sent = 0  # ack field of the newest segment sent
         self.peer_window = WINDOW
+        self.send_mss = MSS  # set by the owning stack from the peer's SYN
         self.send_buf = bytearray()  # every byte from snd_una on
         self.close_requested = False
         self.fin_sent = False
@@ -188,7 +203,7 @@ class TcpEndpoint:
             room = self.peer_window - flight
             if room <= 0:
                 break
-            chunk = bytes(buf[flight : flight + min(MSS, room)])
+            chunk = bytes(buf[flight : flight + min(self.send_mss, room)])
             flight += len(chunk)
             self._transmit(TCP_ACK | TCP_PSH if flight == len(buf) else TCP_ACK, chunk)
         if self.close_requested and flight == len(buf):

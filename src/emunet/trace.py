@@ -2,7 +2,8 @@
 
 Instrumented call sites pass a callable that formats the event arguments;
 the callable only runs when the event name matches an enabled pattern, so
-disabled trace points reduce to a dictionary lookup.  Matched events are
+a trace point that matches nothing reduces to a dictionary lookup, and the
+device skips its trace points altogether when it has no pattern.  Matched events are
 written to the sink one line at a time, flushed per line, serialized by a
 lock so concurrent emitters never interleave within a line.
 """
@@ -12,15 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, TextIO
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    name: str
-    timestamp_ns: int
-    args: str
 
 
 def matches(pattern: str, name: str) -> bool:
@@ -56,16 +49,8 @@ class TraceConfig:
         self.patterns = tuple(patterns)
         self.sink = sink
         self.format_calls = 0
-        self.lines_written = 0
         self._cache: dict[str, bool] = {}
         self._lock = threading.Lock()
-
-    def enabled(self, name: str) -> bool:
-        state = self._cache.get(name)
-        if state is None:
-            state = any(matches(p, name) for p in self.patterns)
-            self._cache[name] = state
-        return state
 
     def emit(self, name: str, args: Callable[[], str] | str | None = None) -> None:
         state = self._cache.get(name)
@@ -79,16 +64,12 @@ class TraceConfig:
             text = args()
         else:
             text = args or ""
-        event = TraceEvent(name, time.monotonic_ns(), text)
-        if text:
-            line = f"{event.name} {event.args} ts={event.timestamp_ns}\n"
-        else:
-            line = f"{event.name} ts={event.timestamp_ns}\n"
+        timestamp = time.monotonic_ns()
+        line = f"{name} {text} ts={timestamp}\n" if text else f"{name} ts={timestamp}\n"
         if self.sink is not None:
             with self._lock:
                 self.sink.write(line)
                 self.sink.flush()
-                self.lines_written += 1
 
 
 #: Shared disabled configuration; emit() on it is a near-no-op.

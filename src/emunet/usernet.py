@@ -13,8 +13,10 @@ sequence numbers by the engine in ``tcp.py``, to which a flow adds a
 as bytes, each encoded once: ``guest_frame_in`` takes the guest's frame as
 the device read it, and ``poll_frames_out`` returns frames ready for
 ``MacDevice.receive``.  ``guest_frame_in`` parses a TCP frame once and
-gives it to its flow's one input, ``segment_in`` (see ``tcp.py``); ARP and
-DHCP frames go through the object codecs.
+gives it to its flow's one input, ``segment_in`` (see ``tcp.py``); every
+other frame goes to the one non-TCP input, ``_non_tcp_in``, which reads ARP
+with ``decode_arp`` and IPv4 with ``decode_udp_frame``.  Both inputs learn
+the sender's MAC by one rule, ``_learn``.
 
 Threading: the instance's one event loop thread owns all of this state and
 every host socket, which it watches through ``EventLoop.watch``.  A flow
@@ -38,7 +40,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .tcp import MSS, TcpEndpoint, seq_add
+from .tcp import TcpEndpoint, send_mss_for, seq_add
 from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
     ARP_OP_REPLY,
@@ -50,7 +52,6 @@ from .wire import (
     DHCP_OFFER,
     DHCP_REQUEST,
     ETHERTYPE_ARP,
-    ETHERTYPE_IPV4,
     IPPROTO_UDP,
     TCP_ACK,
     TCP_FIN,
@@ -60,24 +61,19 @@ from .wire import (
     ArpPacket,
     DecodeError,
     DhcpMessage,
-    EthernetFrame,
-    Ipv4Packet,
     MacAddress,
-    UdpDatagram,
     decode_arp,
     decode_dhcp,
-    decode_frame,
-    decode_ipv4,
     decode_tcp_frame,
-    decode_udp,
+    decode_udp_frame,
     encode_arp,
     encode_dhcp,
-    encode_frame,
-    encode_ipv4,
+    encode_eth_frame,
     encode_tcp_frame,
-    encode_udp,
+    encode_udp_frame,
     ip_to_bytes,
     ip_to_str,
+    tcp_mss_option,
 )
 
 if TYPE_CHECKING:
@@ -406,7 +402,7 @@ class NatFlow(TcpEndpoint):
             return
         flight = min((self.snd_nxt - self.snd_una) & 0xFFFFFFFF, len(self.send_buf))
         if flight:
-            self._transmit(TCP_ACK, bytes(self.send_buf[: min(MSS, flight)]), seq=self.snd_una)
+            self._transmit(TCP_ACK, bytes(self.send_buf[: min(self.send_mss, flight)]), seq=self.snd_una)
         else:
             self._transmit(TCP_FIN | TCP_ACK, seq=seq_add(self.snd_nxt, -1))
 
@@ -554,9 +550,6 @@ class UserNetStack:
         self._frames_out.clear()
         return out
 
-    def _queue_frame(self, frame: EthernetFrame) -> None:
-        self._frames_out.append(encode_frame(frame))
-
     def _next_ident(self) -> int:
         self._ident = (self._ident + 1) & 0xFFFF
         return self._ident
@@ -572,18 +565,19 @@ class UserNetStack:
             self.drop_counts[fields] += 1
             return
         src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, payload = fields
-        known = self._arp_table.get(src_ip)
-        if (known is None or known.octets != src_mac) and src_ip != b"\x00\x00\x00\x00":
-            self._arp_table[src_ip] = MacAddress(src_mac)
+        self._learn(src_ip, src_mac)
         if payload is None:
             self.drop_counts["tcp_malformed"] += 1
             return
         key = (src_ip, src_port, dst_ip, dst_port)
         flow = self._flows.get(key)
         if flow is not None:
+            if flags & TCP_SYN and flow.state == "syn_sent":  # the guest's SYN-ACK
+                flow.send_mss = send_mss_for(tcp_mss_option(raw))
             flow.segment_in(seq, ack, flags, window, payload)
         elif flags & (TCP_SYN | TCP_ACK) == TCP_SYN and not self.subnet.contains(dst_ip):
             flow = NatFlow(self, guest_ip=src_ip, guest_port=src_port, remote_ip=dst_ip, remote_port=dst_port)
+            flow.send_mss = send_mss_for(tcp_mss_option(raw))
             self._flows[key] = flow
             flow.start_outbound(seq, window)
         else:
@@ -592,76 +586,46 @@ class UserNetStack:
             self.drop_counts["tcp_no_flow"] += 1
 
     def _non_tcp_in(self, raw: bytes) -> None:
-        try:
-            frame = decode_frame(raw)
-        except DecodeError:
-            self.drop_counts["frame_malformed"] += 1
+        """An ARP frame, or any frame ``decode_tcp_frame`` did not take,
+        checked one layer after another; the first check that fails names
+        the drop."""
+        if raw[12:14] == b"\x08\x06":
+            try:
+                pkt = decode_arp(raw[14:])
+            except DecodeError:
+                self.drop_counts["arp_malformed"] += 1
+                return
+            self._learn(pkt.sender_ip, pkt.sender_mac.octets)
+            if pkt.op == ARP_OP_REQUEST and pkt.target_ip in (self.subnet.gateway_ip, self.subnet.dns_ip):
+                self._send_arp(ARP_OP_REPLY, pkt.sender_mac, pkt.target_ip, pkt.sender_mac, pkt.sender_ip)
             return
-        if frame.ethertype == ETHERTYPE_ARP:
-            self._arp_in(frame)
-        elif frame.ethertype == ETHERTYPE_IPV4:
-            self._ipv4_in(frame)
-        else:
-            self.drop_counts["ethertype"] += 1
-
-    def _arp_in(self, frame: EthernetFrame) -> None:
-        try:
-            pkt = decode_arp(frame.payload)
-        except DecodeError:
-            self.drop_counts["arp_malformed"] += 1
+        fields = decode_udp_frame(raw)
+        if fields.__class__ is str:
+            self.drop_counts[fields] += 1
             return
-        if pkt.sender_ip != b"\x00\x00\x00\x00":
-            self._arp_table[pkt.sender_ip] = pkt.sender_mac
-        if pkt.op == ARP_OP_REQUEST and pkt.target_ip in (
-            self.subnet.gateway_ip,
-            self.subnet.dns_ip,
-        ):
-            reply = ArpPacket(
-                op=ARP_OP_REPLY,
-                sender_mac=self.subnet.gateway_mac,
-                sender_ip=pkt.target_ip,
-                target_mac=pkt.sender_mac,
-                target_ip=pkt.sender_ip,
-            )
-            self._queue_frame(
-                EthernetFrame(
-                    dst=pkt.sender_mac,
-                    src=self.subnet.gateway_mac,
-                    ethertype=ETHERTYPE_ARP,
-                    payload=encode_arp(reply),
-                )
-            )
-
-    def _ipv4_in(self, frame: EthernetFrame) -> None:
-        try:
-            pkt = decode_ipv4(frame.payload)
-        except DecodeError:
-            self.drop_counts["ipv4_malformed"] += 1
-            return
-        if pkt.src_ip != b"\x00\x00\x00\x00":
-            self._arp_table[pkt.src_ip] = frame.src
-        if pkt.protocol == IPPROTO_UDP:
-            self._udp_in(frame, pkt)
-        else:
+        src_mac, src_ip, _dst_ip, protocol, _src_port, dst_port, payload = fields
+        self._learn(src_ip, src_mac)
+        if protocol != IPPROTO_UDP:
             self.drop_counts["ip_proto"] += 1
-
-    def _udp_in(self, frame: EthernetFrame, pkt: Ipv4Packet) -> None:
-        try:
-            dgram = decode_udp(pkt.payload, pkt.src_ip, pkt.dst_ip)
-        except DecodeError:
+        elif payload is None:
             self.drop_counts["udp_malformed"] += 1
-            return
-        if dgram.dst_port != 67:
+        elif dst_port != 67:
             self.drop_counts["udp_unhandled"] += 1
-            return
-        try:
-            msg = decode_dhcp(dgram.payload)
-        except DecodeError:
-            self.drop_counts["dhcp_malformed"] += 1
-            return
-        reply = self.dhcp_step(msg)
-        if reply is not None:
-            self._send_dhcp_to_guest(reply)
+        else:
+            try:
+                msg = decode_dhcp(payload)
+            except DecodeError:
+                self.drop_counts["dhcp_malformed"] += 1
+                return
+            reply = self.dhcp_step(msg)
+            if reply is not None:
+                self._send_dhcp_to_guest(reply)
+
+    def _learn(self, ip: bytes, mac: bytes) -> None:
+        """The one ARP-learning rule: a sender with an address is found at its MAC."""
+        known = self._arp_table.get(ip)
+        if (known is None or known.octets != mac) and ip != b"\x00\x00\x00\x00":
+            self._arp_table[ip] = MacAddress(mac)
 
     # -- DHCP server ---------------------------------------------------------
 
@@ -726,11 +690,10 @@ class UserNetStack:
         else:
             dst_ip = reply.your_ip
             dst_mac = reply.client_mac
-        dgram = UdpDatagram(src_port=67, dst_port=68, payload=encode_dhcp(reply))
-        self._send_ipv4_to_guest(
-            dst_mac, self.subnet.gateway_ip, dst_ip, IPPROTO_UDP,
-            encode_udp(dgram, self.subnet.gateway_ip, dst_ip),
-        )
+        self._frames_out.append(encode_udp_frame(
+            dst_mac.octets, self.subnet.gateway_mac.octets, self.subnet.gateway_ip, dst_ip,
+            self._next_ident(), 67, 68, encode_dhcp(reply),
+        ))
 
     # -- flows -----------------------------------------------------------------
 
@@ -743,7 +706,7 @@ class UserNetStack:
         guest_ip = ip_to_bytes(rule.guest_addr) if rule.guest_addr else self.first_lease()
         guest_mac = self._arp_table.get(guest_ip) if guest_ip else None
         if guest_ip is not None and guest_mac is None:
-            self._send_arp_request(guest_ip)
+            self._send_arp(ARP_OP_REQUEST, BROADCAST_MAC, self.subnet.gateway_ip, ZERO_MAC, guest_ip)
         if guest_ip is None or guest_mac is None:
             if self.loop.time() >= deadline:
                 sock.close()
@@ -772,34 +735,13 @@ class UserNetStack:
                 return port
         raise RuntimeError("ephemeral ports exhausted")
 
-    # -- guest-bound encapsulation ----------------------------------------------
+    # -- guest-bound ARP ---------------------------------------------------------
 
-    def _send_arp_request(self, target_ip: bytes) -> None:
-        request = ArpPacket(
-            op=ARP_OP_REQUEST,
-            sender_mac=self.subnet.gateway_mac,
-            sender_ip=self.subnet.gateway_ip,
-            target_mac=ZERO_MAC,
-            target_ip=target_ip,
-        )
-        self._queue_frame(
-            EthernetFrame(
-                dst=BROADCAST_MAC,
-                src=self.subnet.gateway_mac,
-                ethertype=ETHERTYPE_ARP,
-                payload=encode_arp(request),
-            )
-        )
-
-    def _send_ipv4_to_guest(
-        self, dst_mac: MacAddress, src_ip: bytes, dst_ip: bytes, proto: int, payload: bytes
+    def _send_arp(
+        self, op: int, dst: MacAddress, sender_ip: bytes, target_mac: MacAddress, target_ip: bytes
     ) -> None:
-        pkt = Ipv4Packet(src_ip=src_ip, dst_ip=dst_ip, protocol=proto, payload=payload, ident=self._next_ident())
-        self._queue_frame(
-            EthernetFrame(
-                dst=dst_mac,
-                src=self.subnet.gateway_mac,
-                ethertype=ETHERTYPE_IPV4,
-                payload=encode_ipv4(pkt),
-            )
-        )
+        gateway_mac = self.subnet.gateway_mac
+        self._frames_out.append(encode_eth_frame(
+            dst.octets, gateway_mac.octets, ETHERTYPE_ARP,
+            encode_arp(ArpPacket(op, gateway_mac, sender_ip, target_mac, target_ip)),
+        ))

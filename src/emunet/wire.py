@@ -5,15 +5,20 @@ TCP without options on encode (RFC 793), DHCP (RFC 2131) and HTTP/1.1
 message units.  No frame check sequence is carried on the virtual wire;
 frames are payload-only and zero-padded to the 60 byte minimum.
 
-ARP, IPv4, UDP and DHCP have object codecs (``decode_arp`` returns an
-``ArpPacket``, and so on).  TCP has a flat one instead, since nearly every
-frame on the wire is TCP: ``decode_tcp_frame`` parses a whole Ethernet +
-IPv4 + TCP frame in one pass, reading the 54-byte header with one
-``struct.Struct``, and returns its fields, or the name of the layer that is
-malformed; ``encode_tcp_frame``, the one encoder of TCP frames, writes a
-whole frame with the same ``Struct``.  The TCP checksum is computed with the
+Frames have flat codecs, which take and return plain fields.
+``decode_tcp_frame`` parses a whole Ethernet + IPv4 + TCP frame in one pass,
+reading the 54-byte header with one ``struct.Struct``, and returns its
+fields, or the name of the layer that is malformed; ``encode_tcp_frame``, the
+one encoder of TCP frames, writes a whole frame with the same ``Struct``.
+``decode_udp_frame`` and ``encode_udp_frame`` do the same for every other
+IPv4 frame, and ``encode_eth_frame`` writes an ARP frame.  Every IPv4 header
+is checked by one rule, ``_ipv4_unsound``, and built by one function,
+``_ipv4_fields``, as libslirp's ``ip_input`` checks each packet once before
+``tcp_input`` or ``udp_input`` sees it.  Checksums are computed with the
 pseudo-header (and, on encode, the other header words) folded into the
-initial sum, so ``_sum16`` runs once over the segment.
+initial sum, so ``_sum16`` runs once over the segment.  ARP and DHCP
+messages keep object codecs (``ArpPacket``, ``DhcpMessage``), which hide
+their formats.
 
 All functions here are pure and safe to call from any thread.
 """
@@ -28,10 +33,8 @@ ETHERTYPE_ARP = 0x0806
 
 ETH_HEADER_LEN = 14
 ETH_MIN_FRAME = 60
-ETH_MAX_FRAME = 1514
 ETH_MAX_PAYLOAD = 1500
 
-IPPROTO_ICMP = 1
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
@@ -108,47 +111,12 @@ class MacAddress:
             raise ValueError(f"not a MAC address: {text!r}")
         return cls(bytes(int(p, 16) for p in parts))
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.octets == b"\xff" * 6
-
-    @property
-    def is_multicast(self) -> bool:
-        return bool(self.octets[0] & 1)
-
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
 
 
 BROADCAST_MAC = MacAddress(b"\xff" * 6)
 ZERO_MAC = MacAddress(b"\x00" * 6)
-
-
-@dataclass
-class EthernetFrame:
-    dst: MacAddress
-    src: MacAddress
-    ethertype: int
-    payload: bytes = b""
-
-
-def encode_frame(frame: EthernetFrame) -> bytes:
-    """Encode to wire bytes, zero-padded to the 60 byte minimum."""
-    if len(frame.payload) > ETH_MAX_PAYLOAD:
-        raise EncodeError(f"payload of {len(frame.payload)} bytes exceeds {ETH_MAX_PAYLOAD}")
-    raw = frame.dst.octets + frame.src.octets + struct.pack("!H", frame.ethertype) + frame.payload
-    if len(raw) < ETH_MIN_FRAME:
-        raw += b"\x00" * (ETH_MIN_FRAME - len(raw))
-    return raw
-
-
-def decode_frame(raw: bytes) -> EthernetFrame:
-    if len(raw) < ETH_HEADER_LEN:
-        raise DecodeError(f"truncated frame: {len(raw)} bytes")
-    dst = MacAddress(bytes(raw[0:6]))
-    src = MacAddress(bytes(raw[6:12]))
-    (ethertype,) = struct.unpack_from("!H", raw, 12)
-    return EthernetFrame(dst, src, ethertype, bytes(raw[14:]))
 
 
 def _sum16(data: bytes, total: int = 0) -> int:
@@ -192,64 +160,26 @@ def tcp_checksum(src_ip: bytes, dst_ip: bytes, segment: bytes) -> int:
     return ~_sum16(segment, pseudo) & 0xFFFF
 
 
-def udp_checksum(src_ip: bytes, dst_ip: bytes, datagram: bytes) -> int:
-    pseudo = src_ip + dst_ip + struct.pack("!BBH", 0, IPPROTO_UDP, len(datagram))
-    value = ~_sum16(datagram, _sum16(pseudo)) & 0xFFFF
-    return value or 0xFFFF  # 0 means "no checksum" on the wire
-
-
-@dataclass
-class Ipv4Packet:
-    src_ip: bytes
-    dst_ip: bytes
-    protocol: int
-    payload: bytes = b""
-    ttl: int = 64
-    ident: int = 0
-    header_checksum: int = 0  # filled in by decode; computed by encode
-
-
-def encode_ipv4(pkt: Ipv4Packet) -> bytes:
-    total = 20 + len(pkt.payload)
-    if total > 0xFFFF:
-        raise EncodeError("IPv4 payload too large")
-    header = bytearray(
-        struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45, 0, total, pkt.ident & 0xFFFF, 0,
-            pkt.ttl, pkt.protocol, 0, pkt.src_ip, pkt.dst_ip,
-        )
+def _ipv4_unsound(raw: bytes, size: int, ver_ihl: int, frag: int, total: int) -> bool:
+    """The one IPv4 header rule, for every frame of ``size`` bytes: version 4
+    with no options, no fragment (the don't-fragment bit may be set), a
+    total length within the frame, and a header checksum that verifies."""
+    return (
+        ver_ihl != 0x45 or frag & 0x3FFF != 0 or total < 20 or ETH_HEADER_LEN + total > size
+        or ipv4_checksum(raw[14:34]) != 0
     )
-    checksum = ipv4_checksum(bytes(header))
-    struct.pack_into("!H", header, 10, checksum)
-    return bytes(header) + pkt.payload
 
 
-def decode_ipv4(raw: bytes) -> Ipv4Packet:
-    if len(raw) < 20:
-        raise DecodeError("truncated IPv4 header")
-    ver_ihl = raw[0]
-    if ver_ihl >> 4 != 4:
-        raise DecodeError(f"not IPv4: version {ver_ihl >> 4}")
-    if ver_ihl & 0xF != 5:
-        raise DecodeError("IPv4 options not supported")
-    if raw[6] & 0x3F or raw[7]:  # more-fragments bit or a fragment offset
-        raise DecodeError("IPv4 fragments not supported")
-    if _sum16(bytes(raw[:20])) != 0xFFFF:
-        raise DecodeError("IPv4 header checksum mismatch")
-    total, = struct.unpack_from("!H", raw, 2)
-    if total < 20 or total > len(raw):
-        raise DecodeError(f"bad IPv4 total length {total}")
-    checksum, = struct.unpack_from("!H", raw, 10)
-    return Ipv4Packet(
-        src_ip=bytes(raw[12:16]),
-        dst_ip=bytes(raw[16:20]),
-        protocol=raw[9],
-        payload=bytes(raw[20:total]),
-        ttl=raw[8],
-        ident=struct.unpack_from("!H", raw, 4)[0],
-        header_checksum=checksum,
-    )
+_TTL = 64
+
+
+def _ipv4_fields(total: int, ident: int, protocol: int, src_ip: bytes, dst_ip: bytes, addr_sum: int) -> tuple:
+    """The fields of every IPv4 header written here, in ``struct`` order: no
+    options or flags, TTL 64.  The checksum takes the header's words as
+    integers, with ``addr_sum`` (``int.from_bytes(src_ip + dst_ip, "big")``)
+    standing for the addresses, so no bytes are summed."""
+    ip_sum = (0x4500 + total + ident + (_TTL << 8 | protocol) + addr_sum) % 0xFFFF or 0xFFFF
+    return 0x45, 0, total, ident, 0, _TTL, protocol, 0xFFFF - ip_sum, src_ip, dst_ip
 
 
 TCP_FIN = 0x01
@@ -263,7 +193,6 @@ TCP_ACK = 0x10
 # frame encode_tcp_frame writes, and the fixed part of every one
 # decode_tcp_frame reads.
 TCP_FRAME = struct.Struct("!6s6sHBBHHHBBH4s4sHHIIBBHHH")
-_TTL = 64
 
 
 def decode_tcp_frame(raw: bytes) -> tuple | str | None:
@@ -276,7 +205,7 @@ def decode_tcp_frame(raw: bytes) -> tuple | str | None:
     from the addresses, and counts ``tcp_malformed``.  A frame whose IPv4
     header is unsound (options, a fragment, a bad length or checksum)
     returns the string ``"ipv4_malformed"``.  A frame that is not IPv4
-    carrying TCP returns None, for the object codecs.
+    carrying TCP returns None, for ``decode_udp_frame`` and ``decode_arp``.
     """
     size = len(raw)
     if size < 54:  # too short for a TCP header: pad, so the one Struct reads it
@@ -288,9 +217,9 @@ def decode_tcp_frame(raw: bytes) -> tuple | str | None:
      ) = TCP_FRAME.unpack_from(raw)
     if ethertype != ETHERTYPE_IPV4 or proto != IPPROTO_TCP:
         return None
-    end = ETH_HEADER_LEN + total
-    if ver_ihl != 0x45 or frag & 0x3FFF or total < 20 or end > size or ipv4_checksum(raw[14:34]):
+    if _ipv4_unsound(raw, size, ver_ihl, frag, total):
         return "ipv4_malformed"
+    end = ETH_HEADER_LEN + total
     start = 34 + (offset >> 4 << 2)
     if start < 54 or start > end or tcp_checksum(src_ip, dst_ip, raw[34:end]):
         return src_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, window, None
@@ -321,17 +250,15 @@ def encode_tcp_frame(
     total = 40 + len(payload)
     if total > ETH_MAX_PAYLOAD:
         raise EncodeError(f"TCP payload of {len(payload)} bytes exceeds {ETH_MAX_PAYLOAD - 40}")
-    # Both sums take the header's words as integers (a 32-bit field is two
-    # words), so only the payload goes through _sum16.
-    ip_sum = (0x4500 + total + ident + (_TTL << 8 | IPPROTO_TCP) + addr_sum) % 0xFFFF or 0xFFFF
+    # The TCP sum takes the header's words as integers (a 32-bit field is
+    # two words), so only the payload goes through _sum16.
     tcp_sum = _sum16(
         payload,
         addr_sum + IPPROTO_TCP + total - 20 + src_port + dst_port
         + (seq >> 16) + (seq & 0xFFFF) + (ack >> 16) + (ack & 0xFFFF) + (0x5000 | flags) + window,
     )
     frame = TCP_FRAME.pack(
-        dst_mac, src_mac, ETHERTYPE_IPV4,
-        0x45, 0, total, ident, 0, _TTL, IPPROTO_TCP, 0xFFFF - ip_sum, src_ip, dst_ip,
+        dst_mac, src_mac, ETHERTYPE_IPV4, *_ipv4_fields(total, ident, IPPROTO_TCP, src_ip, dst_ip, addr_sum),
         src_port, dst_port, seq, ack, 0x50, flags, window, 0xFFFF - tcp_sum, 0,
     ) + payload
     if total < ETH_MIN_FRAME - ETH_HEADER_LEN:
@@ -339,32 +266,99 @@ def encode_tcp_frame(
     return frame
 
 
-@dataclass
-class UdpDatagram:
-    src_port: int
-    dst_port: int
-    payload: bytes = b""
+def tcp_mss_option(raw: bytes) -> int | None:
+    """The MSS option (RFC 9293 section 3.2, kind 2) of a frame that
+    ``decode_tcp_frame`` took, or None if its options carry none."""
+    end = 34 + (raw[46] >> 4 << 2)
+    pos = 54
+    while pos + 1 < end and raw[pos]:  # kind 0 ends the list
+        if raw[pos] == 1:  # no-operation
+            pos += 1
+        elif raw[pos + 1] < 2 or pos + raw[pos + 1] > end:
+            break
+        elif raw[pos] == 2 and raw[pos + 1] == 4:
+            return raw[pos + 2] << 8 | raw[pos + 3]
+        else:
+            pos += raw[pos + 1]
+    return None
 
 
-def encode_udp(dgram: UdpDatagram, src_ip: bytes, dst_ip: bytes) -> bytes:
-    length = 8 + len(dgram.payload)
-    header = bytearray(struct.pack("!HHHH", dgram.src_port, dgram.dst_port, length, 0))
-    checksum = udp_checksum(src_ip, dst_ip, bytes(header) + dgram.payload)
-    struct.pack_into("!H", header, 6, checksum)
-    return bytes(header) + dgram.payload
+_ETH_HEADER = struct.Struct("!6s6sH")
+# IPv4 and UDP headers, the first without options: what encode_udp_frame
+# writes after the Ethernet header.
+_UDP_HEADERS = struct.Struct("!BBHHHBBH4s4sHHHH")
+# Ethernet II, IPv4 and UDP headers: the fixed part of every frame
+# decode_udp_frame reads.
+UDP_FRAME = struct.Struct("!6s6sHBBHHHBBH4s4sHHHH")
 
 
-def decode_udp(raw: bytes, src_ip: bytes, dst_ip: bytes) -> UdpDatagram:
-    if len(raw) < 8:
-        raise DecodeError("truncated UDP header")
-    src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", raw, 0)
-    if length < 8 or length > len(raw):
-        raise DecodeError(f"bad UDP length {length}")
-    raw = raw[:length]
-    if checksum != 0:  # zero means the sender did not compute one
-        if _sum16(raw, _sum16(src_ip + dst_ip + struct.pack("!BBH", 0, IPPROTO_UDP, length))) != 0xFFFF:
-            raise DecodeError("UDP checksum mismatch")
-    return UdpDatagram(src_port, dst_port, bytes(raw[8:]))
+def encode_eth_frame(dst_mac: bytes, src_mac: bytes, ethertype: int, payload: bytes) -> bytes:
+    """An Ethernet II frame, zero-padded to the 60 byte minimum."""
+    if len(payload) > ETH_MAX_PAYLOAD:
+        raise EncodeError(f"payload of {len(payload)} bytes exceeds {ETH_MAX_PAYLOAD}")
+    frame = _ETH_HEADER.pack(dst_mac, src_mac, ethertype) + payload
+    if len(frame) < ETH_MIN_FRAME:
+        frame += bytes(ETH_MIN_FRAME - len(frame))
+    return frame
+
+
+def encode_udp_frame(
+    dst_mac: bytes,
+    src_mac: bytes,
+    src_ip: bytes,
+    dst_ip: bytes,
+    ident: int,
+    src_port: int,
+    dst_port: int,
+    payload: bytes,
+) -> bytes:
+    """One UDP datagram as a whole frame, with its checksum (a computed 0 is
+    sent as 0xFFFF, since 0 means none was computed)."""
+    length = 8 + len(payload)
+    addr_sum = int.from_bytes(src_ip + dst_ip, "big")
+    udp_sum = _sum16(payload, addr_sum + IPPROTO_UDP + length + src_port + dst_port + length)
+    return encode_eth_frame(dst_mac, src_mac, ETHERTYPE_IPV4, _UDP_HEADERS.pack(
+        *_ipv4_fields(20 + length, ident, IPPROTO_UDP, src_ip, dst_ip, addr_sum),
+        src_port, dst_port, length, 0xFFFF - udp_sum or 0xFFFF,
+    ) + payload)
+
+
+def decode_udp_frame(raw: bytes) -> tuple | str:
+    """Parse a frame that ``decode_tcp_frame`` did not take and that is not
+    ARP, checking one layer after another.
+
+    Returns ``(src_mac, src_ip, dst_ip, protocol, src_port, dst_port,
+    payload)`` for a sound IPv4 header.  The payload is None when that is all
+    that is sound: the protocol is not UDP (the ports are then 0), or the
+    datagram is truncated, its length field is below 8 or past the packet,
+    or its checksum, when one was sent, does not verify.  The caller may
+    still learn from the addresses.  Otherwise the result is the name of
+    the first layer that fails: ``"frame_malformed"`` (under 14 bytes),
+    ``"ethertype"`` (not IPv4) or ``"ipv4_malformed"``.
+    """
+    size = len(raw)
+    if size < ETH_HEADER_LEN:
+        return "frame_malformed"
+    if raw[12:14] != b"\x08\x00":
+        return "ethertype"
+    if size < 34:
+        return "ipv4_malformed"
+    if size < 42:  # too short for a UDP header: pad, so the one Struct reads it
+        raw = bytes(raw) + bytes(42 - size)
+    (_dst, src_mac, _ethertype, ver_ihl, _tos, total, _ident, frag, _ttl, protocol, _hsum,
+     src_ip, dst_ip, src_port, dst_port, length, checksum) = UDP_FRAME.unpack_from(raw)
+    if _ipv4_unsound(raw, size, ver_ihl, frag, total):
+        return "ipv4_malformed"
+    if protocol != IPPROTO_UDP:
+        return src_mac, src_ip, dst_ip, protocol, 0, 0, None
+    end = 34 + length
+    if length < 8 or end > ETH_HEADER_LEN + total:
+        payload = None
+    elif checksum and _sum16(raw[34:end], int.from_bytes(src_ip + dst_ip, "big") + IPPROTO_UDP + length) != 0xFFFF:
+        payload = None  # a checksum of 0 means the sender computed none
+    else:
+        payload = raw[42:end]
+    return src_mac, src_ip, dst_ip, protocol, src_port, dst_port, payload
 
 
 @dataclass
@@ -437,10 +431,10 @@ def encode_dhcp(msg: DhcpMessage) -> bytes:
 def decode_dhcp(raw: bytes) -> DhcpMessage:
     if len(raw) < 240:
         raise DecodeError("truncated DHCP message")
-    op, _htype, hlen = raw[0], raw[1], raw[2]
+    op = raw[0]
     xid, = struct.unpack_from("!I", raw, 4)
     your_ip = bytes(raw[16:20])
-    chaddr = bytes(raw[28:28 + 6]) if hlen == 6 else bytes(raw[28:34])
+    chaddr = bytes(raw[28:34])
     cookie, = struct.unpack_from("!I", raw, 236)
     if cookie != DHCP_MAGIC_COOKIE:
         raise DecodeError(f"missing DHCP magic cookie (got 0x{cookie:08x})")
@@ -504,6 +498,8 @@ def encode_response(resp: HttpResponse) -> bytes:
 
 
 MAX_BODY = 65536  # bytes of request body the parser will buffer
+MAX_LINE = 8192  # bytes of the request line, and of each header line
+MAX_HEADERS = 32
 
 
 class HttpRequestParser:
@@ -515,9 +511,7 @@ class HttpRequestParser:
     and a declared body over ``MAX_BODY`` raises HttpBodyTooLarge at once.
     """
 
-    def __init__(self, max_line: int = 8192, max_headers: int = 32):
-        self.max_line = max_line
-        self.max_headers = max_headers
+    def __init__(self):
         self._buf = bytearray()
         self._request: HttpRequest | None = None
         self._body_needed = 0
@@ -527,7 +521,7 @@ class HttpRequestParser:
         if self._request is None:
             end = self._buf.find(b"\r\n\r\n")
             if end < 0:
-                if len(self._buf) > self.max_line + self.max_headers * self.max_line:
+                if len(self._buf) > MAX_LINE + MAX_HEADERS * MAX_LINE:
                     raise HttpParseError("request head too large")
                 return None
             head = bytes(self._buf[:end])
@@ -547,9 +541,9 @@ class HttpRequestParser:
 
     def _parse_head(self, head: bytes) -> HttpRequest:
         lines = head.split(b"\r\n")
-        if len(lines) - 1 > self.max_headers:
+        if len(lines) - 1 > MAX_HEADERS:
             raise HttpParseError("too many headers")
-        if len(lines[0]) > self.max_line:
+        if len(lines[0]) > MAX_LINE:
             raise HttpParseError("request line too long")
         try:
             request_line = lines[0].decode("ascii")

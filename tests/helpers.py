@@ -17,7 +17,7 @@ from emunet.eventloop import EventLoop
 from emunet.guest import GuestConfig
 from emunet.harness import Instance
 from emunet.usernet import ForwardRule, NicConfig, UserNetStack
-from emunet.wire import EthernetFrame, decode_frame, encode_frame
+from reference import EthernetFrame, decode_frame, encode_frame, ones_complement_checksum
 
 
 def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
@@ -32,12 +32,10 @@ def wait_for(predicate, timeout: float = 5.0, interval: float = 0.002) -> bool:
 def ipv4_with_flags(raw: bytes, flags_offset: int) -> bytes:
     """An encoded IPv4 packet with its flags and fragment offset field
     replaced, and its header checksum made valid again."""
-    from emunet.wire import ipv4_checksum
-
     header = bytearray(raw[:20])
     header[6:8] = flags_offset.to_bytes(2, "big")
     header[10:12] = b"\x00\x00"
-    header[10:12] = ipv4_checksum(bytes(header)).to_bytes(2, "big")
+    header[10:12] = ones_complement_checksum(bytes(header)).to_bytes(2, "big")
     return bytes(header) + raw[20:]
 
 
@@ -109,7 +107,8 @@ def timers(loop: EventLoop) -> list:
 
 
 def frames_out(stack: UserNetStack) -> list[EthernetFrame]:
-    """Drain the frames a NAT stack queued toward the guest, decoded."""
+    """Drain the frames a NAT stack queued toward the guest, decoded by the
+    oracle in ``reference.py``."""
     return [decode_frame(raw) for raw in stack.poll_frames_out()]
 
 
@@ -129,9 +128,10 @@ def stepped_instance(mode: str = "http", trace=None) -> Instance:
     ``boot``, ``inject``, ``step`` and ``advance``.
 
     It records, as attributes: ``log``, the guest's stdout; ``guest_tx`` and
-    ``guest_tx_raw``, the frames the guest transmitted, decoded and raw; and
-    ``usernet_tx`` and ``usernet_tx_raw``, the frames the NAT stack sent
-    toward the guest, decoded and raw.
+    ``guest_tx_raw``, the frames the guest transmitted, decoded (by the
+    oracle in ``reference.py``) and raw; and ``usernet_tx`` and
+    ``usernet_tx_raw``, the frames the NAT stack sent toward the guest,
+    decoded and raw.
     """
     instance, log, _port = make_instance(mode=mode, trace=trace, forwards=[])
     instance.log = log
@@ -158,6 +158,39 @@ def stepped_instance(mode: str = "http", trace=None) -> Instance:
 
 def boot(instance: Instance) -> None:
     step(instance.loop, instance._boot)
+
+
+def get_hello(instance: Instance) -> None:
+    """One ``GET /hello`` from a host socket to a stepped http instance, over
+    a NAT flow opened toward the guest, run until both ends are closed."""
+    from emunet.usernet import NatFlow
+
+    guest_ip, gateway_ip = instance.guest.ip, instance.usernet.subnet.gateway_ip
+    near, far = socket.socketpair()
+    near.setblocking(False)
+    stack = instance.usernet
+    flow = NatFlow(stack, guest_ip, 80, gateway_ip, stack._next_eph_port(guest_ip, 80))
+    stack._flows[flow.key] = flow
+    far.sendall(b"GET /hello HTTP/1.1\r\nHost: guest\r\n\r\n")
+    step(instance.loop, lambda: flow.start_inbound(near))
+    far.setblocking(False)
+    reply, shut = bytearray(), False
+    for _ in range(100):
+        if flow.state == "closed" and not instance.guest.conns:
+            break
+        step(instance.loop)
+        try:
+            chunk = far.recv(65536)
+        except BlockingIOError:
+            continue
+        reply += chunk
+        if not chunk and not shut:  # the host closes its end once the reply is in
+            far.shutdown(socket.SHUT_WR)
+            shut = True
+    assert reply.startswith(b"HTTP/1.1 200 OK\r\n") and reply.endswith(b"Hello World!")
+    assert flow.state == "closed" and not instance.guest.conns
+    near.close()
+    far.close()
 
 
 def inject(instance: Instance, frame: EthernetFrame) -> None:

@@ -30,22 +30,63 @@ def tcp_checksum_reference(src_ip: bytes, dst_ip: bytes, segment: bytes) -> int:
     return ones_complement_checksum(pseudo + segment)
 
 
+def udp_checksum_reference(src_ip: bytes, dst_ip: bytes, datagram: bytes) -> int:
+    pseudo = bytes(src_ip) + bytes(dst_ip) + bytes([0, 17]) + len(datagram).to_bytes(2, "big")
+    return ones_complement_checksum(pseudo + datagram)
+
+
 # ---------------------------------------------------------------------------
-# pcap-style frame decoder: fixed offsets, no shared code with the package.
+# Ethernet II (RFC 894), IPv4 (RFC 791) and UDP (RFC 768) object codecs:
+# fixed offsets, no shared code with the package.  MAC addresses are bytes.
 
 
-def reference_decode_frame(raw: bytes) -> dict:
+@dataclass
+class EthernetFrame:
+    dst: bytes
+    src: bytes
+    ethertype: int
+    payload: bytes = b""
+
+
+def pad_frame(dst: bytes, src: bytes, ethertype: int, payload: bytes) -> bytes:
+    raw = dst + src + ethertype.to_bytes(2, "big") + payload
+    if len(raw) < 60:
+        raw += b"\x00" * (60 - len(raw))
+    return raw
+
+
+def encode_frame(frame: EthernetFrame) -> bytes:
+    """The frame's bytes, zero-padded to the 60 byte minimum."""
+    return pad_frame(frame.dst, frame.src, frame.ethertype, frame.payload)
+
+
+def decode_frame(raw: bytes) -> EthernetFrame:
     if len(raw) < 14:
         raise ValueError("frame shorter than the 14 byte header")
-    return {
-        "dst": bytes(raw[0:6]),
-        "src": bytes(raw[6:12]),
-        "ethertype": (raw[12] << 8) | raw[13],
-        "payload": bytes(raw[14:]),
-    }
+    return EthernetFrame(bytes(raw[0:6]), bytes(raw[6:12]), (raw[12] << 8) | raw[13], bytes(raw[14:]))
 
 
-def reference_decode_ipv4(raw: bytes) -> dict:
+@dataclass
+class Ipv4Packet:
+    src_ip: bytes
+    dst_ip: bytes
+    protocol: int
+    payload: bytes = b""
+    ttl: int = 64
+    ident: int = 0
+
+
+def encode_ipv4(pkt: Ipv4Packet) -> bytes:
+    """A 20 byte header (no options, no flags) and the payload."""
+    header = (
+        bytes([0x45, 0]) + (20 + len(pkt.payload)).to_bytes(2, "big") + (pkt.ident & 0xFFFF).to_bytes(2, "big")
+        + b"\x00\x00" + bytes([pkt.ttl, pkt.protocol]) + b"\x00\x00" + bytes(pkt.src_ip) + bytes(pkt.dst_ip)
+    )
+    checksum = ones_complement_checksum(header)
+    return header[:10] + checksum.to_bytes(2, "big") + header[12:] + pkt.payload
+
+
+def decode_ipv4(raw: bytes) -> Ipv4Packet:
     """An IPv4 packet as RFC 791 reads it; ValueError for what the stacks
     count as ``ipv4_malformed``: a bad version or header checksum, options,
     a fragment, or a total length outside the bytes given."""
@@ -60,7 +101,45 @@ def reference_decode_ipv4(raw: bytes) -> dict:
     total = (raw[2] << 8) | raw[3]
     if not 20 <= total <= len(raw):
         raise ValueError(f"total length {total}")
-    return {"src": bytes(raw[12:16]), "dst": bytes(raw[16:20]), "protocol": raw[9], "payload": bytes(raw[20:total])}
+    return Ipv4Packet(
+        bytes(raw[12:16]), bytes(raw[16:20]), raw[9], bytes(raw[20:total]), ttl=raw[8], ident=(raw[4] << 8) | raw[5]
+    )
+
+
+@dataclass
+class UdpDatagram:
+    src_port: int
+    dst_port: int
+    payload: bytes = b""
+
+
+def encode_udp(dgram: UdpDatagram, src_ip: bytes, dst_ip: bytes) -> bytes:
+    header = (
+        dgram.src_port.to_bytes(2, "big") + dgram.dst_port.to_bytes(2, "big")
+        + (8 + len(dgram.payload)).to_bytes(2, "big")
+    )
+    checksum = udp_checksum_reference(src_ip, dst_ip, header + b"\x00\x00" + dgram.payload)
+    return header + (checksum or 0xFFFF).to_bytes(2, "big") + dgram.payload  # a computed 0 is sent as all ones
+
+
+def decode_udp(raw: bytes, src_ip: bytes, dst_ip: bytes) -> UdpDatagram:
+    """The datagram ``raw`` holds, cut to its length field; ValueError for
+    what the stacks count as ``udp_malformed``: truncation, a length below 8
+    or past the bytes given, or a checksum, when one was sent, that fails."""
+    if len(raw) < 8:
+        raise ValueError("shorter than the 8 byte UDP header")
+    length = (raw[4] << 8) | raw[5]
+    if not 8 <= length <= len(raw):
+        raise ValueError(f"UDP length {length}")
+    raw = raw[:length]
+    if raw[6:8] != b"\x00\x00" and udp_checksum_reference(src_ip, dst_ip, raw) != 0:
+        raise ValueError("UDP checksum mismatch")
+    return UdpDatagram((raw[0] << 8) | raw[1], (raw[2] << 8) | raw[3], bytes(raw[8:]))
+
+
+def encode_arp_reference(op: int, sender_mac: bytes, sender_ip: bytes, target_mac: bytes, target_ip: bytes) -> bytes:
+    """An Ethernet/IPv4 ARP packet (RFC 826): htype 1, ptype 0x0800, hlen 6, plen 4."""
+    return bytes((0, 1, 8, 0, 6, 4, 0, op)) + sender_mac + sender_ip + target_mac + target_ip
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +397,6 @@ class ReferenceMac:
             )
         )
         return dst == mine
-
-
-def pad_frame(dst: bytes, src: bytes, ethertype: int, payload: bytes) -> bytes:
-    raw = dst + src + ethertype.to_bytes(2, "big") + payload
-    if len(raw) < 60:
-        raw += b"\x00" * (60 - len(raw))
-    return raw
 
 
 # ---------------------------------------------------------------------------

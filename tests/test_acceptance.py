@@ -24,22 +24,22 @@ from emunet.wire import (
     ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
-    EthernetFrame,
-    Ipv4Packet,
     MacAddress,
-    UdpDatagram,
-    encode_frame,
-    encode_ipv4,
-    encode_udp,
     ip_to_bytes,
     ipv4_checksum,
     tcp_checksum,
 )
 from helpers import free_port, http_get, make_instance, wait_for
 from reference import (
+    EthernetFrame,
+    Ipv4Packet,
     ReferenceMac,
     TcpSegment,
+    UdpDatagram,
+    encode_frame,
+    encode_ipv4,
     encode_tcp,
+    encode_udp,
     multicast_hash_oracle,
     ones_complement_checksum,
     pad_frame,
@@ -146,7 +146,7 @@ def test_trace_multicast_event_dedicated():
     device.reg_write(HASH0, table & 0xFFFFFFFF)
     device.reg_write(HASH1, (table >> 32) & 0xFFFFFFFF)
     src = MacAddress.parse("02:00:00:00:00:01")
-    assert device.receive(encode_frame(EthernetFrame(mac, src, 0x0800, b"\x00" * 46))) is True
+    assert device.receive(encode_frame(EthernetFrame(mac.octets, src.octets, 0x0800, b"\x00" * 46))) is True
     names = [line.split()[0] for line in sink.getvalue().splitlines()]
     assert "open_eth_receive_mcast" in names
 
@@ -156,8 +156,8 @@ def test_trace_multicast_event_dedicated():
 
 
 def _random_hostile_frame(rng: random.Random, guest_mac: MacAddress, guest_ip: bytes):
-    dst = guest_mac if rng.random() < 0.8 else MacAddress(b"\xff" * 6)
-    src = MacAddress(bytes([0x02] + [rng.getrandbits(8) for _ in range(5)]))
+    dst = guest_mac.octets if rng.random() < 0.8 else b"\xff" * 6
+    src = bytes([0x02] + [rng.getrandbits(8) for _ in range(5)])
     kind = rng.random()
     if kind < 0.55:
         src_ip = bytes(rng.getrandbits(8) for _ in range(4))

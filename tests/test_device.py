@@ -35,7 +35,7 @@ from emunet.device import (
     TX_BD_NUM,
     multicast_hash_index,
 )
-from emunet.wire import EthernetFrame, MacAddress, encode_frame
+from emunet.wire import MacAddress, encode_eth_frame
 from reference import (
     PROGRAMMED_A0,
     PROGRAMMED_A1,
@@ -250,7 +250,7 @@ class TestStartXmit:
 
 class TestReceive:
     def frame(self, dst=MAC, payload=b"\x00" * 46):
-        return encode_frame(EthernetFrame(dst, OTHER, 0x0800, payload))
+        return encode_eth_frame(dst.octets, OTHER.octets, 0x0800, payload)
 
     def test_unicast_happy_path(self):
         device, memory, _ = make_device()
@@ -311,7 +311,7 @@ class TestReceive:
             table = 1 << index
             device.reg_write(HASH0, table & 0xFFFFFFFF)
             device.reg_write(HASH1, table >> 32)
-            frame = encode_frame(EthernetFrame(MacAddress(mac_bytes), OTHER, 0x0800, b"\x00" * 46))
+            frame = encode_eth_frame(mac_bytes, OTHER.octets, 0x0800, b"\x00" * 46)
             assert device.receive(frame) is True
             # complement table: same frame must now be filtered out
             device.reg_write(HASH0, ~table & 0xFFFFFFFF)
@@ -323,7 +323,7 @@ class TestReceive:
         sink = io.StringIO()
         device, _, _ = make_device(trace.enable(["open_eth*"], sink))
         enable_rx_tx(device)
-        device.receive(encode_frame(EthernetFrame(MacAddress.parse("01:00:5e:00:00:01"), OTHER, 0x0800, b"\x00" * 46)))
+        device.receive(encode_eth_frame(bytes.fromhex("01005e000001"), OTHER.octets, 0x0800, b"\x00" * 46))
         assert any(line.startswith("open_eth_receive_mcast") for line in sink.getvalue().splitlines())
 
 
@@ -356,7 +356,7 @@ class TestTraceCompleteness:
         device.desc_read(0)
         memory.write(0x1000, b"z" * 60)
         device.desc_write(0, (60 << 16) | BD_READY | BD_IRQ, 0x1000)
-        device.receive(encode_frame(EthernetFrame(MAC, OTHER, 0x0800, b"\x00" * 46)))
+        device.receive(encode_eth_frame(MAC.octets, OTHER.octets, 0x0800, b"\x00" * 46))
         names = {line.split()[0] for line in sink.getvalue().splitlines()}
         assert {
             "open_eth_reg_read", "open_eth_reg_write", "open_eth_mii_read",
@@ -389,8 +389,7 @@ def apply_op(device: MacDevice, ref: ReferenceMac, op: tuple, accepts: list):
         ref.xmit()
     elif kind == "recv":
         _, dst, src, ethertype, payload = op
-        frame = EthernetFrame(MacAddress(dst), MacAddress(src), ethertype, payload)
-        accepts.append(device.receive(encode_frame(frame)))
+        accepts.append(device.receive(encode_eth_frame(dst, src, ethertype, payload)))
         ref.receive(pad_frame(dst, src, ethertype, payload))
     elif kind == "reg_write":
         _, off, val = op

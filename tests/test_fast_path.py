@@ -29,21 +29,21 @@ from emunet.wire import (
     TCP_PSH,
     TCP_RST,
     TCP_SYN,
-    EthernetFrame,
-    Ipv4Packet,
     MacAddress,
-    encode_frame,
-    encode_ipv4,
     ip_to_bytes,
 )
-from helpers import boot, nat_stack, step, stepped_instance
+from helpers import boot, get_hello, nat_stack, step, stepped_instance
 from reference import (
     OPT_TIMESTAMP,
+    EthernetFrame,
+    Ipv4Packet,
     TcpSegment,
+    decode_frame,
+    decode_ipv4,
     decode_tcp,
+    encode_frame,
+    encode_ipv4,
     encode_tcp,
-    reference_decode_frame,
-    reference_decode_ipv4,
     tcp_checksum_reference,
 )
 
@@ -71,55 +71,57 @@ def tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, fl
         window=window, payload=payload,
     )
     pkt = Ipv4Packet(src_ip, dst_ip, IPPROTO_TCP, encode_tcp(seg, src_ip, dst_ip, options))
-    return encode_frame(EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, encode_ipv4(pkt)))
+    return encode_frame(EthernetFrame(dst_mac.octets, src_mac.octets, ETHERTYPE_IPV4, encode_ipv4(pkt)))
 
 
 def segments(raw_frames):
     out = []
     for raw in raw_frames:
-        frame = reference_decode_frame(raw)
-        if frame["ethertype"] != ETHERTYPE_IPV4:
+        frame = decode_frame(raw)
+        if frame.ethertype != ETHERTYPE_IPV4:
             continue
-        pkt = reference_decode_ipv4(frame["payload"])
-        if pkt["protocol"] == IPPROTO_TCP:
-            out.append(decode_tcp(pkt["payload"], pkt["src"], pkt["dst"]))
+        pkt = decode_ipv4(frame.payload)
+        if pkt.protocol == IPPROTO_TCP:
+            out.append(decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip))
     return out
 
 
 def nat_reference_in(stack, raw):
     """A guest frame into the NAT by the reference decoders and the NAT's rules."""
-    frame = reference_decode_frame(raw)
+    frame = decode_frame(raw)
     try:
-        pkt = reference_decode_ipv4(frame["payload"])
+        pkt = decode_ipv4(frame.payload)
     except ValueError:
         stack.drop_counts["ipv4_malformed"] += 1
         return
-    if pkt["src"] != ZERO_IP:
-        stack._arp_table[pkt["src"]] = MacAddress(frame["src"])
+    if pkt.src_ip != ZERO_IP:
+        stack._arp_table[pkt.src_ip] = MacAddress(frame.src)
     try:
-        seg = decode_tcp(pkt["payload"], pkt["src"], pkt["dst"])
+        seg = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
     except ValueError:
         stack.drop_counts["tcp_malformed"] += 1
         return
-    flow = stack._flows.get((pkt["src"], seg.src_port, pkt["dst"], seg.dst_port))
+    flow = stack._flows.get((pkt.src_ip, seg.src_port, pkt.dst_ip, seg.dst_port))
     if flow is not None:
         flow.segment_in(seg.seq, seg.ack, seg.flags, seg.window, seg.payload)
         return
-    assert stack.subnet.contains(pkt["dst"]), "the test would open a host socket"
+    assert stack.subnet.contains(pkt.dst_ip), "the test would open a host socket"
     stack.drop_counts["tcp_no_flow"] += 1
 
 
 def guest_reference_in(stack, raw):
     """A frame into the guest by the reference decoders and the guest's rules."""
-    frame = reference_decode_frame(raw)
+    frame = decode_frame(raw)
     try:
-        pkt = reference_decode_ipv4(frame["payload"])
+        pkt = decode_ipv4(frame.payload)
     except ValueError:
         stack._count("ipv4_malformed")
         return
-    src, dst = pkt["src"], pkt["dst"]
+    src, dst = pkt.src_ip, pkt.dst_ip
     if src != ZERO_IP:
-        stack._learn(src, MacAddress(frame["src"]))
+        stack.arp_table[src] = MacAddress(frame.src)
+        for held in stack.arp_pending.pop(src, ()):
+            stack.driver.transmit(frame.src + held[6:])
     if dst != BROADCAST_IP and dst != stack.ip:
         stack._count("ip_not_for_us")
         return
@@ -127,7 +129,7 @@ def guest_reference_in(stack, raw):
         stack._count("ip_proto")
         return
     try:
-        seg = decode_tcp(pkt["payload"], src, dst)
+        seg = decode_tcp(pkt.payload, src, dst)
     except ValueError:
         stack._count("tcp_malformed")
         return
@@ -439,7 +441,7 @@ def test_64k_echo_takes_the_fast_path_for_every_established_data_segment(engine_
     far.close()
 
 
-DECODERS = ("decode_tcp_frame", "decode_frame", "decode_ipv4", "decode_tcp")
+DECODERS = ("decode_tcp_frame", "decode_udp_frame", "decode_arp", "decode_dhcp")
 
 
 class TestDecodesPerRequest:
@@ -448,7 +450,7 @@ class TestDecodesPerRequest:
     def test_get_hello_parses_each_of_its_10_frames_once(self, monkeypatch):
         inst = stepped_instance()
         boot(inst)
-        self._get_hello(inst)  # warm-up
+        get_hello(inst)  # warm-up
         decodes = Counter()
         modules = [getattr(emunet, name) for name in ("wire", "usernet", "guest", "harness", "device")]
         for name in DECODERS:
@@ -458,10 +460,10 @@ class TestDecodesPerRequest:
         frames = len(inst.guest_tx_raw) + len(inst.usernet_tx_raw)
         requests = 3
         for _ in range(requests):
-            self._get_hello(inst)
+            get_hello(inst)
         assert len(inst.guest_tx_raw) + len(inst.usernet_tx_raw) - frames == 10 * requests
         assert {name: decodes[name] for name in DECODERS} == {
-            "decode_tcp_frame": 10 * requests, "decode_frame": 0, "decode_ipv4": 0, "decode_tcp": 0,
+            "decode_tcp_frame": 10 * requests, "decode_udp_frame": 0, "decode_arp": 0, "decode_dhcp": 0,
         }
 
     @staticmethod
@@ -471,31 +473,3 @@ class TestDecodesPerRequest:
             return fn(*args)
 
         return counted
-
-    @staticmethod
-    def _get_hello(inst):
-        near, far = socket.socketpair()
-        near.setblocking(False)
-        stack = inst.usernet
-        flow = NatFlow(stack, GUEST_IP, GUEST_PORT, GATEWAY_IP, stack._next_eph_port(GUEST_IP, GUEST_PORT))
-        stack._flows[flow.key] = flow
-        far.sendall(b"GET /hello HTTP/1.1\r\nHost: guest\r\n\r\n")
-        step(inst.loop, lambda: flow.start_inbound(near))
-        far.setblocking(False)
-        reply, shut = bytearray(), False
-        for _ in range(100):
-            if flow.state == "closed" and not inst.guest.conns:
-                break
-            step(inst.loop)
-            try:
-                chunk = far.recv(65536)
-            except BlockingIOError:
-                continue
-            reply += chunk
-            if not chunk and not shut:  # the host closes its end once the reply is in
-                far.shutdown(socket.SHUT_WR)
-                shut = True
-        assert reply.startswith(b"HTTP/1.1 200 OK\r\n") and reply.endswith(b"Hello World!")
-        assert flow.state == "closed" and not inst.guest.conns
-        near.close()
-        far.close()

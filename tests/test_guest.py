@@ -25,20 +25,25 @@ from emunet.wire import (
     TCP_RST,
     ZERO_MAC,
     ArpPacket,
-    EthernetFrame,
     HttpRequest,
-    Ipv4Packet,
     MacAddress,
     decode_arp,
-    decode_frame,
-    decode_ipv4,
     encode_arp,
-    encode_ipv4,
     encode_response,
     ip_to_bytes,
 )
 from helpers import boot, inject, stepped_instance
-from reference import OPT_MSS, TcpSegment, decode_tcp, encode_tcp
+from reference import (
+    OPT_MSS,
+    EthernetFrame,
+    Ipv4Packet,
+    TcpSegment,
+    decode_frame,
+    decode_ipv4,
+    decode_tcp,
+    encode_ipv4,
+    encode_tcp,
+)
 
 GATEWAY_MAC = MacAddress.parse("52:55:0a:00:02:02")
 GATEWAY_IP = ip_to_bytes("10.0.2.2")
@@ -142,7 +147,7 @@ class TestArpResponder:
             op=ARP_OP_REQUEST, sender_mac=GATEWAY_MAC, sender_ip=GATEWAY_IP,
             target_mac=MacAddress(b"\x00" * 6), target_ip=GUEST_IP,
         )
-        inject(inst, EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
+        inject(inst, EthernetFrame(inst.guest.mac.octets, GATEWAY_MAC.octets, ETHERTYPE_ARP, encode_arp(request)))
         replies = [f for f in inst.guest_tx[sent_before:] if f.ethertype == ETHERTYPE_ARP]
         assert len(replies) == 1
         reply = decode_arp(replies[0].payload)
@@ -158,7 +163,7 @@ class TestArpResponder:
             op=ARP_OP_REQUEST, sender_mac=GATEWAY_MAC, sender_ip=GATEWAY_IP,
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.77"),
         )
-        inject(inst, EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_ARP, encode_arp(request)))
+        inject(inst, EthernetFrame(inst.guest.mac.octets, GATEWAY_MAC.octets, ETHERTYPE_ARP, encode_arp(request)))
         assert len(inst.guest_tx) == sent_before
 
 
@@ -184,7 +189,7 @@ class _FakeClient:
         payload = encode_tcp(seg, GATEWAY_IP, GUEST_IP, options)
         pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, payload)
         inject(self.inst, 
-            EthernetFrame(self.inst.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+            EthernetFrame(self.inst.guest.mac.octets, GATEWAY_MAC.octets, ETHERTYPE_IPV4, encode_ipv4(pkt))
         )
         self.seq = seq_add(self.seq, len(seg.payload) + (1 if seg.syn or seg.fin else 0))
         self._collect()
@@ -416,7 +421,7 @@ class TestOutOfOrder:
             payload=b"ahead of the stream",
         )
         pkt = Ipv4Packet(GATEWAY_IP, GUEST_IP, IPPROTO_TCP, encode_tcp(gap, GATEWAY_IP, GUEST_IP))
-        frame = EthernetFrame(inst.guest.mac, GATEWAY_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+        frame = EthernetFrame(inst.guest.mac.octets, GATEWAY_MAC.octets, ETHERTYPE_IPV4, encode_ipv4(pkt))
         inject(inst, frame)  # on the instance's loop, which counts exceptions
         assert inst.loop.errors == 0
         replies = [decode_ipv4(f.payload) for f in inst.guest_tx[cursor:]]
@@ -457,7 +462,7 @@ class TestArpQueue:
         for port in range(1000, 1020):  # one RST to each of 20 ports
             inst.guest.send_tcp(host, host, addr_sum, 80, port, 0, 0, TCP_RST)
         queued = inst.guest.arp_pending[host]
-        assert [decode_frame(raw).dst for raw in queued] == [ZERO_MAC] * ARP_QUEUE_MAX
+        assert [decode_frame(raw).dst for raw in queued] == [ZERO_MAC.octets] * ARP_QUEUE_MAX
         segs = [decode_tcp(decode_ipv4(raw[14:]).payload, GUEST_IP, host) for raw in queued]
         assert [seg.dst_port for seg in segs] == [1017, 1018, 1019]  # the newest stay
         assert inst.guest.drop_counts["arp_queue_full"] == 20 - ARP_QUEUE_MAX
@@ -466,7 +471,7 @@ class TestArpQueue:
             target_mac=inst.guest.mac, target_ip=GUEST_IP,
         )
         sent_before = len(inst.guest_tx_raw)
-        inject(inst, EthernetFrame(inst.guest.mac, host_mac, ETHERTYPE_ARP, encode_arp(reply)))
+        inject(inst, EthernetFrame(inst.guest.mac.octets, host_mac.octets, ETHERTYPE_ARP, encode_arp(reply)))
         flushed = [raw for raw in inst.guest_tx_raw[sent_before:] if raw[:6] == host_mac.octets]
         assert flushed == [host_mac.octets + raw[6:] for raw in queued]
         assert host not in inst.guest.arp_pending

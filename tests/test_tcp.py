@@ -5,16 +5,29 @@ guest's own connection: the same ``TcpEndpoint`` code serves both.
 """
 
 import socket
+import time
 
 import pytest
 
 from emunet.guest import GuestTcpConn
-from emunet.tcp import seq_add
+from emunet.tcp import MIN_MSS, MSS, seq_add
 from emunet.usernet import NatFlow
 from emunet.wire import ETHERTYPE_IPV4, IPPROTO_TCP, TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
-from emunet.wire import EthernetFrame, Ipv4Packet, MacAddress, encode_frame, encode_ipv4, ip_to_bytes
-from helpers import boot, nat_stack, stepped_instance
-from reference import OPT_TIMESTAMP, TcpSegment, encode_tcp, tcp_checksum_reference
+from emunet.wire import MacAddress, ip_to_bytes
+from helpers import advance, boot, nat_stack, step, stepped_instance
+from reference import (
+    OPT_TIMESTAMP,
+    EthernetFrame,
+    Ipv4Packet,
+    TcpSegment,
+    decode_frame,
+    decode_ipv4,
+    decode_tcp,
+    encode_frame,
+    encode_ipv4,
+    encode_tcp,
+    tcp_checksum_reference,
+)
 
 PEER_ISS = 7000  # the far end's initial sequence number
 PEER_MAC = MacAddress.parse("52:54:00:aa:bb:cc")
@@ -107,7 +120,7 @@ class _End:
             raw[16:18] = b"\x00\x00"
             raw[16:18] = tcp_checksum_reference(peer_ip, local_ip, bytes(raw)).to_bytes(2, "big")
         pkt = Ipv4Packet(peer_ip, local_ip, IPPROTO_TCP, bytes(raw))
-        frame = encode_frame(EthernetFrame(LOCAL_MAC, PEER_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt)))
+        frame = encode_frame(EthernetFrame(LOCAL_MAC.octets, PEER_MAC.octets, ETHERTYPE_IPV4, encode_ipv4(pkt)))
         if self.kind == "nat":
             self.stack.guest_frame_in(frame)
         else:
@@ -206,3 +219,163 @@ def test_bad_data_offset_counts_tcp_malformed(end, data_offset):
     end.frame_in(end.peer_nxt, data_offset=data_offset, payload=b"never delivered")
     assert end.stack.drop_counts == {"tcp_malformed": 1}
     assert end.delivered() == [] and end.sent == [] and end.ep.rcv_nxt == rcv_nxt
+
+
+# -- the peer's MSS option (RFC 9293 section 3.7.1) ----------------------------------
+
+GUEST_IP, GATEWAY_IP = ip_to_bytes("10.0.2.15"), ip_to_bytes("10.0.2.2")
+GATEWAY_MAC = MacAddress.parse("52:55:0a:00:02:02")
+
+
+def _mss_option(value):
+    return bytes((2, 4)) + value.to_bytes(2, "big")
+
+
+def _tcp_frame(src_mac, dst_mac, src_ip, dst_ip, seg, options=b""):
+    pkt = Ipv4Packet(src_ip, dst_ip, IPPROTO_TCP, encode_tcp(seg, src_ip, dst_ip, options))
+    return encode_frame(EthernetFrame(dst_mac.octets, src_mac.octets, ETHERTYPE_IPV4, encode_ipv4(pkt)))
+
+
+def _data_sizes(frames):
+    """The payload sizes of the TCP segments among ``frames`` that carry data."""
+    sizes = []
+    for raw in frames:
+        pkt = decode_ipv4(decode_frame(raw).payload)
+        if pkt.protocol == IPPROTO_TCP:
+            seg = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
+            sizes += [len(seg.payload)] if seg.payload else []
+    return sizes
+
+
+class _MssEnd:
+    """One end that learnt the peer's MSS from the SYN or SYN-ACK that opened
+    the connection: the NAT or the guest, opening actively or passively.
+    ``send`` gives it 1200 bytes to send; ``sent`` returns the frames it sent."""
+
+    def __init__(self, kind, options):
+        self.kind, self.closers = kind, []
+        if kind.startswith("nat"):
+            self.stack = nat_stack()
+            self._nat_open(kind, options)
+        else:
+            self.inst = stepped_instance(mode="echo")
+            boot(self.inst)
+            self.stack = self.inst.guest
+            self._guest_open(kind, options)
+        assert self.ep.state == "established"
+        self.sent()
+
+    def _nat_open(self, kind, options):
+        stack = self.stack
+        if kind == "nat_active":  # the NAT opens toward a listening guest, whose SYN-ACK carries the option
+            stack._arp_table[GUEST_IP] = MacAddress(PEER_MAC.octets)
+            self.host, far = socket.socketpair()
+            self.closers += [self.host, far]
+            self.ep = NatFlow(stack, GUEST_IP, 80, GATEWAY_IP, 49152)
+            stack._flows[self.ep.key] = self.ep
+            self.ep.start_inbound(self.host)
+            stack.poll_frames_out()
+            reply = TcpSegment(80, 49152, PEER_ISS, seq_add(self.ep.iss, 1), syn=True, ack_flag=True)
+            stack.guest_frame_in(_tcp_frame(PEER_MAC, GATEWAY_MAC, GUEST_IP, GATEWAY_IP, reply, options))
+            return
+        # the guest's SYN, carrying the option, opens a flow to a host listener
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        self.closers.append(listener)
+        host_ip, port = ip_to_bytes("127.0.0.1"), listener.getsockname()[1]
+        syn = TcpSegment(40000, port, PEER_ISS, 0, syn=True)
+        stack.guest_frame_in(_tcp_frame(PEER_MAC, GATEWAY_MAC, GUEST_IP, host_ip, syn, options))
+        self.ep = stack._flows[(GUEST_IP, 40000, host_ip, port)]
+        listener.settimeout(5)
+        self.host, _peer = listener.accept()
+        self.closers.append(self.host)
+        for _ in range(200):
+            if self.ep.state == "syn_rcvd":
+                break
+            step(stack.loop)
+            time.sleep(0.001)
+        ack = TcpSegment(40000, port, seq_add(PEER_ISS, 1), seq_add(self.ep.iss, 1), ack_flag=True)
+        stack.guest_frame_in(_tcp_frame(PEER_MAC, GATEWAY_MAC, GUEST_IP, host_ip, ack))
+
+    def _guest_open(self, kind, options):
+        guest = self.stack
+        if kind == "guest_passive":  # a SYN carrying the option to the echo server
+            peer_port = 49152
+            guest._frame_in(_tcp_frame(GATEWAY_MAC, guest.mac, GATEWAY_IP, GUEST_IP,
+                                       TcpSegment(peer_port, 80, PEER_ISS, 0, syn=True), options))
+            self.ep = guest.conns[(GATEWAY_IP, peer_port, 80)]
+            ack = TcpSegment(peer_port, 80, seq_add(PEER_ISS, 1), seq_add(self.ep.iss, 1), ack_flag=True)
+            guest._frame_in(_tcp_frame(GATEWAY_MAC, guest.mac, GATEWAY_IP, GUEST_IP, ack))
+        else:  # the guest connects, and the SYN-ACK carries the option
+            self.ep = guest.tcp_connect(GATEWAY_IP, 9, _Recorder)
+            reply = TcpSegment(9, self.ep.local_port, PEER_ISS, seq_add(self.ep.iss, 1), syn=True, ack_flag=True)
+            guest._frame_in(_tcp_frame(GATEWAY_MAC, guest.mac, GATEWAY_IP, GUEST_IP, reply, options))
+        self._cursor = 0
+
+    def send(self, data):
+        if self.kind.startswith("nat"):
+            self.ep.host_data(data)
+        else:
+            self.ep.send(data)
+
+    def sent(self):
+        if self.kind.startswith("nat"):
+            return self.stack.poll_frames_out()
+        frames = self.inst.guest_tx_raw[self._cursor:]
+        self._cursor = len(self.inst.guest_tx_raw)
+        return frames
+
+    def close(self):
+        if self.kind.startswith("nat"):
+            self.stack.stop()  # closes the flow's socket
+        for sock in self.closers:
+            sock.close()
+
+
+MSS_ENDS = ["nat_active", "nat_passive", "guest_active", "guest_passive"]
+
+
+@pytest.mark.parametrize("kind", MSS_ENDS)
+def test_segments_stay_within_the_mss_the_peer_advertised(kind):
+    end = _MssEnd(kind, _mss_option(536))  # lwIP's default TCP_MSS
+    try:
+        assert end.ep.send_mss == 536
+        end.send(bytes(range(200)) * 6)
+        assert _data_sizes(end.sent()) == [536, 536, 128]
+        if kind.startswith("nat"):  # and so does a retransmission
+            from emunet.usernet import RETRANSMIT_S
+
+            advance(end.stack.loop, RETRANSMIT_S)
+            assert _data_sizes(end.sent()) == [536]
+    finally:
+        end.close()
+
+
+@pytest.mark.parametrize("kind", MSS_ENDS)
+def test_an_mss_of_zero_is_raised_to_the_floor(kind):
+    end = _MssEnd(kind, _mss_option(0))
+    try:
+        assert end.ep.send_mss == MIN_MSS
+        end.send(bytes(1200))
+        sizes = _data_sizes(end.sent())
+        assert sizes == [MIN_MSS] * (1200 // MIN_MSS)
+    finally:
+        end.close()
+
+
+@pytest.mark.parametrize("options, mss", [
+    (b"", MSS), (OPT_TIMESTAMP, MSS), (_mss_option(9000), MSS), (_mss_option(1000), 1000), (_mss_option(47), MIN_MSS),
+], ids=["none", "timestamps_only", "above_ours", "below_ours", "below_the_floor"])
+def test_the_syn_sets_the_segment_size(options, mss):
+    end = _MssEnd("guest_passive", options)
+    assert end.ep.send_mss == mss
+    end.send(bytes(3000))
+    sizes = _data_sizes(end.sent())
+    assert max(sizes) == mss and sum(sizes) == 3000
+
+
+def test_only_a_syn_sets_the_segment_size(end):
+    end.frame_in(end.peer_nxt, _mss_option(536), payload=b"data", psh=True)
+    assert end.delivered() == [("data", b"data")]
+    assert end.ep.send_mss == MSS

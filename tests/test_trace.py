@@ -8,6 +8,7 @@ import pytest
 
 from emunet import trace
 from emunet.trace import TraceConfig, matches
+from helpers import boot, get_hello, stepped_instance
 
 
 class TestMatches:
@@ -130,3 +131,34 @@ class TestSinks:
             assert fields[1].startswith("tag=")
             assert fields[2].startswith("i=")
             assert fields[3].startswith("ts=")
+
+
+class TestDisabledDevice:
+    """A device decides once, when it is built, whether its trace points run."""
+
+    @staticmethod
+    def _emits_per_request(monkeypatch, config):
+        calls = []
+        emit = TraceConfig.emit
+        def counted(self, name, args=None):
+            calls.append(name)
+            emit(self, name, args)
+
+        monkeypatch.setattr(TraceConfig, "emit", counted)
+        inst = stepped_instance(trace=config)
+        boot(inst)
+        get_hello(inst)  # warm-up
+        calls.clear()
+        get_hello(inst)
+        return calls, inst
+
+    def test_tracing_off_makes_no_emit_call_per_request(self, monkeypatch):
+        calls, inst = self._emits_per_request(monkeypatch, None)
+        assert calls == []
+        assert not inst.device.tracing and inst.trace.format_calls == 0
+
+    def test_a_pattern_that_matches_nothing_still_formats_nothing(self, monkeypatch):
+        config = trace.enable(["usernet_*"], io.StringIO())
+        calls, inst = self._emits_per_request(monkeypatch, config)
+        assert inst.device.tracing and calls  # the device asks; the config says no
+        assert config.format_calls == 0 and config.sink.getvalue() == ""

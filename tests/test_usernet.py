@@ -26,20 +26,27 @@ from emunet.wire import (
     TCP_SYN,
     ArpPacket,
     DhcpMessage,
-    EthernetFrame,
-    Ipv4Packet,
     MacAddress,
     decode_arp,
     decode_dhcp,
-    decode_ipv4,
-    decode_udp,
     encode_arp,
-    encode_frame,
-    encode_ipv4,
+    encode_dhcp,
     ip_to_bytes,
 )
 from helpers import advance, frames_out, ipv4_with_flags, nat_stack, step, stepped_loop, timers
-from reference import TcpSegment, decode_tcp, encode_tcp
+from reference import (
+    EthernetFrame,
+    Ipv4Packet,
+    TcpSegment,
+    UdpDatagram,
+    decode_ipv4,
+    decode_tcp,
+    decode_udp,
+    encode_frame,
+    encode_ipv4,
+    encode_tcp,
+    encode_udp,
+)
 
 GUEST_MAC = MacAddress.parse("52:54:00:12:34:56")
 GUEST_MAC2 = MacAddress.parse("52:54:00:12:34:57")
@@ -170,7 +177,7 @@ class TestDhcpServer:
 
 def guest_frame(payload, ethertype=ETHERTYPE_IPV4, src=GUEST_MAC):
     return encode_frame(EthernetFrame(
-        dst=SubnetPlan().gateway_mac, src=src, ethertype=ethertype, payload=payload
+        dst=SubnetPlan().gateway_mac.octets, src=src.octets, ethertype=ethertype, payload=payload
     ))
 
 
@@ -188,7 +195,7 @@ class TestGuestFrameIn:
         assert reply.op == ARP_OP_REPLY
         assert reply.sender_mac == SubnetPlan().gateway_mac
         assert reply.sender_ip == ip_to_bytes("10.0.2.2")
-        assert frames[0].dst == GUEST_MAC
+        assert frames[0].dst == GUEST_MAC.octets
 
     def test_arp_for_dns_answered(self):
         stack = nat_stack()
@@ -221,30 +228,26 @@ class TestGuestFrameIn:
 
     def test_dhcp_over_frames(self):
         stack = nat_stack()
-        from emunet.wire import UdpDatagram, encode_dhcp, encode_udp
-
         msg = DhcpMessage(op=1, xid=5, client_mac=GUEST_MAC, message_type=DHCP_DISCOVER)
         src, dst = b"\x00" * 4, b"\xff" * 4
         dgram = UdpDatagram(68, 67, encode_dhcp(msg))
         pkt = Ipv4Packet(src_ip=src, dst_ip=dst, protocol=17,
                          payload=encode_udp(dgram, src, dst))
         stack.guest_frame_in(encode_frame(
-            EthernetFrame(MacAddress(b"\xff" * 6), GUEST_MAC, ETHERTYPE_IPV4, encode_ipv4(pkt))
+            EthernetFrame(b"\xff" * 6, GUEST_MAC.octets, ETHERTYPE_IPV4, encode_ipv4(pkt))
         ))
         frames = frames_out(stack)
         assert len(frames) == 1  # exactly one response per request
         inner = decode_ipv4(frames[0].payload)
         reply = decode_dhcp(decode_udp(inner.payload, inner.src_ip, inner.dst_ip).payload)
         assert reply.message_type == DHCP_OFFER
-        assert frames[0].dst == GUEST_MAC
+        assert frames[0].dst == GUEST_MAC.octets
 
     def test_poll_frames_empty(self):
         assert frames_out(nat_stack()) == []
 
     def test_interleaved_responses_fifo(self):
         stack = nat_stack()
-        from emunet.wire import UdpDatagram, encode_dhcp, encode_udp
-
         arp_req = ArpPacket(
             op=ARP_OP_REQUEST, sender_mac=GUEST_MAC, sender_ip=ip_to_bytes("10.0.2.15"),
             target_mac=MacAddress(b"\x00" * 6), target_ip=ip_to_bytes("10.0.2.2"),
@@ -255,7 +258,7 @@ class TestGuestFrameIn:
                         payload=encode_udp(dgram, b"\x00" * 4, b"\xff" * 4))
         stack.guest_frame_in(guest_frame(encode_arp(arp_req), ethertype=ETHERTYPE_ARP))
         stack.guest_frame_in(encode_frame(
-            EthernetFrame(MacAddress(b"\xff" * 6), GUEST_MAC, ETHERTYPE_IPV4, encode_ipv4(ip))
+            EthernetFrame(b"\xff" * 6, GUEST_MAC.octets, ETHERTYPE_IPV4, encode_ipv4(ip))
         ))
         frames = frames_out(stack)
         assert len(frames) == 2
@@ -338,7 +341,8 @@ class TestFlowTimers:
         flow.segment_in(flow.rcv_nxt, ack, TCP_ACK, 8192, b"")
 
     def test_unacked_data_resent_from_snd_una_with_current_ack(self):
-        from emunet.usernet import MSS, RETRANSMIT_S
+        from emunet.tcp import MSS
+        from emunet.usernet import RETRANSMIT_S
 
         stack, flow, far = self._established_flow()
         self._guest_ack(flow, (flow.snd_una + 1000) & 0xFFFFFFFF)  # part of the first segment

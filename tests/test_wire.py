@@ -1,4 +1,7 @@
-"""Wire format tests: framing, checksums, packet round-trips, HTTP parsing."""
+"""Wire format tests: framing, checksums, packet round-trips, HTTP parsing.
+
+The flat frame codecs are held to the object codecs in ``reference.py``,
+which are written from the RFCs and share no code with the package."""
 
 import ast
 import random
@@ -13,26 +16,31 @@ from emunet.wire import (
     DecodeError,
     DhcpMessage,
     EncodeError,
-    EthernetFrame,
     HttpBodyTooLarge,
     HttpParseError,
     HttpRequestParser,
-    Ipv4Packet,
     MacAddress,
-    UdpDatagram,
 )
 from helpers import boot, ipv4_with_flags, stepped_instance
 import reference
 from reference import (
     OPT_MSS,
     OPT_TIMESTAMP,
+    EthernetFrame,
+    Ipv4Packet,
     TcpSegment,
+    UdpDatagram,
+    decode_frame,
+    decode_ipv4,
     decode_tcp,
+    decode_udp,
+    encode_frame,
+    encode_ipv4,
     encode_tcp,
+    encode_udp,
     ones_complement_checksum,
-    reference_decode_frame,
-    reference_decode_ipv4,
     tcp_checksum_reference,
+    udp_checksum_reference,
 )
 
 BCAST = MacAddress.parse("ff:ff:ff:ff:ff:ff")
@@ -42,16 +50,6 @@ macs = st.binary(min_size=6, max_size=6).map(MacAddress)
 
 
 class TestMacAddress:
-    def test_broadcast_predicate(self):
-        assert BCAST.is_broadcast
-        assert not SRC.is_broadcast
-        assert not MacAddress(b"\xff" * 5 + b"\xfe").is_broadcast
-
-    def test_multicast_predicate(self):
-        assert MacAddress.parse("01:00:5e:00:00:01").is_multicast
-        assert BCAST.is_multicast  # broadcast is the all-ones multicast
-        assert not SRC.is_multicast
-
     def test_parse_and_str_roundtrip(self):
         assert str(MacAddress.parse("AA:bb:0c:00:00:01")) == "aa:bb:0c:00:00:01"
 
@@ -60,39 +58,51 @@ class TestMacAddress:
             MacAddress(b"\x00" * 5)
 
 
+def oracle_udp_frame(src_ip, dst_ip, payload=b"", ident=0, ports=(68, 67), dst=BCAST.octets, src=SRC.octets):
+    """A UDP frame built by the oracle encoders."""
+    datagram = encode_udp(UdpDatagram(*ports, payload), src_ip, dst_ip)
+    return encode_frame(EthernetFrame(dst, src, wire.ETHERTYPE_IPV4, encode_ipv4(Ipv4Packet(
+        src_ip, dst_ip, wire.IPPROTO_UDP, datagram, ident=ident))))
+
+
+def udp_frame(src_ip, dst_ip, payload=b"", ident=0, ports=(68, 67)):
+    return wire.encode_udp_frame(BCAST.octets, SRC.octets, src_ip, dst_ip, ident, *ports, payload)
+
+
 class TestEthernetFrame:
     def test_minimum_padding(self):
-        frame = EthernetFrame(BCAST, SRC, 0x0806, b"\x00" * 28)
-        raw = wire.encode_frame(frame)
+        raw = wire.encode_eth_frame(BCAST.octets, SRC.octets, 0x0806, b"\x00" * 28)
         assert len(raw) == 60
         assert raw[:6] == BCAST.octets
         assert raw[6:12] == SRC.octets
+        assert len(udp_frame(bytes(4), bytes(4))) == 60
 
     def test_maximum_size_boundary(self):
-        raw = wire.encode_frame(EthernetFrame(BCAST, SRC, 0x0800, b"\xab" * 1500))
+        raw = wire.encode_eth_frame(BCAST.octets, SRC.octets, 0x0800, b"\xab" * 1500)
         assert len(raw) == 1514
+        assert len(udp_frame(bytes(4), bytes(4), bytes(1500 - 28))) == 1514
 
     def test_oversize_payload(self):
         with pytest.raises(EncodeError):
-            wire.encode_frame(EthernetFrame(BCAST, SRC, 0x0800, b"\x00" * 1501))
+            wire.encode_eth_frame(BCAST.octets, SRC.octets, 0x0800, b"\x00" * 1501)
+        with pytest.raises(EncodeError):
+            udp_frame(bytes(4), bytes(4), bytes(1500 - 27))
 
     def test_truncated_below_header(self):
-        with pytest.raises(DecodeError):
-            wire.decode_frame(b"\x00" * 13)
+        assert wire.decode_udp_frame(b"\x00" * 13) == "frame_malformed"
+        assert wire.decode_tcp_frame(b"\x00" * 13) is None
 
     def test_decode_offsets(self):
-        frame = EthernetFrame(BCAST, SRC, 0x0806, b"\x11" * 28)
-        decoded = wire.decode_frame(wire.encode_frame(frame))
-        assert decoded.ethertype == 0x0806
-        assert decoded.dst == BCAST
-        assert decoded.src == SRC
+        src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
+        raw = oracle_udp_frame(src_ip, dst_ip, b"\x11" * 28)
+        assert wire.decode_udp_frame(raw) == (SRC.octets, src_ip, dst_ip, wire.IPPROTO_UDP, 68, 67, b"\x11" * 28)
+        assert wire.decode_udp_frame(raw[:12] + b"\x08\x06" + raw[14:]) == "ethertype"
 
     @given(dst=macs, src=macs, ethertype=st.integers(0, 0xFFFF), payload=st.binary(max_size=1500))
     @settings(max_examples=200)
     def test_roundtrip_modulo_padding(self, dst, src, ethertype, payload):
-        frame = EthernetFrame(dst, src, ethertype, payload)
-        decoded = wire.decode_frame(wire.encode_frame(frame))
-        assert decoded.dst == dst and decoded.src == src and decoded.ethertype == ethertype
+        decoded = decode_frame(wire.encode_eth_frame(dst.octets, src.octets, ethertype, payload))
+        assert decoded.dst == dst.octets and decoded.src == src.octets and decoded.ethertype == ethertype
         pad = max(0, 46 - len(payload))
         assert decoded.payload == payload + b"\x00" * pad
 
@@ -103,12 +113,14 @@ class TestEthernetFrame:
         boot(instance)
         assert instance.guest_tx_raw, "guest transmitted nothing at boot"
         raw = instance.guest_tx_raw[0]
-        ours = wire.decode_frame(raw)
-        reference = reference_decode_frame(raw)
-        assert ours.dst.octets == reference["dst"] == b"\xff" * 6
-        assert ours.src.octets == reference["src"]
-        assert ours.ethertype == reference["ethertype"] == 0x0800
-        assert ours.payload == reference["payload"]
+        frame = decode_frame(raw)
+        pkt = decode_ipv4(frame.payload)
+        dgram = decode_udp(pkt.payload, pkt.src_ip, pkt.dst_ip)
+        assert frame.dst == b"\xff" * 6 and frame.ethertype == 0x0800
+        assert wire.decode_udp_frame(raw) == (
+            frame.src, pkt.src_ip, pkt.dst_ip, pkt.protocol, dgram.src_port, dgram.dst_port, dgram.payload
+        )
+        assert raw == oracle_udp_frame(pkt.src_ip, pkt.dst_ip, dgram.payload, pkt.ident, dst=frame.dst, src=frame.src)
 
 
 class TestChecksums:
@@ -194,45 +206,56 @@ ips = st.binary(min_size=4, max_size=4)
 
 
 class TestIpv4:
-    @given(src=ips, dst=ips, proto=st.integers(0, 255), ttl=st.integers(1, 255), payload=st.binary(max_size=400))
+    """The one IPv4 header rule and builder, through the flat UDP frame codecs."""
+
+    @given(src=ips, dst=ips, proto=st.integers(0, 255), ttl=st.integers(1, 255), ident=st.integers(0, 0xFFFF),
+           payload=st.binary(max_size=400))
     @settings(max_examples=200)
-    def test_roundtrip(self, src, dst, proto, ttl, payload):
-        pkt = Ipv4Packet(src_ip=src, dst_ip=dst, protocol=proto, payload=payload, ttl=ttl)
-        decoded = wire.decode_ipv4(wire.encode_ipv4(pkt))
-        assert (decoded.src_ip, decoded.dst_ip, decoded.protocol, decoded.ttl) == (src, dst, proto, ttl)
-        assert decoded.payload == payload
+    def test_roundtrip(self, src, dst, proto, ttl, ident, payload):
+        raw = udp_frame(src, dst, payload, ident)
+        assert raw == oracle_udp_frame(src, dst, payload, ident)
+        pkt = decode_ipv4(decode_frame(raw).payload)
+        assert (pkt.src_ip, pkt.dst_ip, pkt.protocol, pkt.ttl, pkt.ident) == (src, dst, wire.IPPROTO_UDP, 64, ident)
+        assert decode_udp(pkt.payload, src, dst) == UdpDatagram(68, 67, payload)
+        # any other protocol: the addresses, and no payload
+        other = encode_frame(EthernetFrame(BCAST.octets, SRC.octets, wire.ETHERTYPE_IPV4, encode_ipv4(
+            Ipv4Packet(src, dst, proto, payload, ttl=ttl, ident=ident))))
+        if proto not in (wire.IPPROTO_UDP, wire.IPPROTO_TCP):
+            assert wire.decode_tcp_frame(other) is None
+            assert wire.decode_udp_frame(other) == (SRC.octets, src, dst, proto, 0, 0, None)
 
     def test_total_length_field(self):
-        raw = wire.encode_ipv4(Ipv4Packet(b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", 6, b"abc"))
-        assert int.from_bytes(raw[2:4], "big") == 23
+        raw = udp_frame(b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", b"abc")
+        assert int.from_bytes(raw[16:18], "big") == 20 + 8 + 3
+        assert int.from_bytes(raw[38:40], "big") == 8 + 3
 
     def test_encode_verifies_to_zero(self):
-        raw = wire.encode_ipv4(Ipv4Packet(b"\x0a\x00\x02\x02", b"\x0a\x00\x02\x0f", 17, b"hi"))
-        assert wire._sum16(raw[:20]) == 0xFFFF
+        src, dst = b"\x0a\x00\x02\x02", b"\x0a\x00\x02\x0f"
+        raw = udp_frame(src, dst, b"hi")
+        assert wire._sum16(raw[14:34]) == 0xFFFF
+        assert udp_checksum_reference(src, dst, raw[34:44]) == 0
 
     def test_corrupted_checksum_rejected(self):
-        raw = bytearray(wire.encode_ipv4(Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6)))
-        raw[10] ^= 0xFF
-        with pytest.raises(DecodeError):
-            wire.decode_ipv4(bytes(raw))
+        raw = bytearray(udp_frame(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02"))
+        raw[14 + 10] ^= 0xFF
+        assert wire.decode_udp_frame(bytes(raw)) == "ipv4_malformed"
 
     @pytest.mark.parametrize(
         "flags_offset", [0x2000, 0x0001, 0x1FFF, 0x6000], ids=["more", "offset", "last", "df_more"]
     )
     def test_fragment_rejected(self, flags_offset):
-        raw = wire.encode_ipv4(Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"part"))
-        with pytest.raises(DecodeError, match="fragment"):
-            wire.decode_ipv4(ipv4_with_flags(raw, flags_offset))
+        raw = udp_frame(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", b"part")
+        assert wire.decode_udp_frame(ipv4_frame_with_flags(raw, flags_offset)) == "ipv4_malformed"
 
     def test_dont_fragment_bit_accepted(self):
-        raw = wire.encode_ipv4(Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"whole"))
-        assert wire.decode_ipv4(ipv4_with_flags(raw, 0x4000)).payload == b"whole"
+        raw = udp_frame(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", b"whole")
+        assert wire.decode_udp_frame(ipv4_frame_with_flags(raw, 0x4000))[-1] == b"whole"
 
     def test_padded_frame_payload_trimmed(self):
-        # IP total-length trims ethernet minimum-size padding.
-        pkt = Ipv4Packet(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, b"ab")
-        raw = wire.encode_ipv4(pkt) + b"\x00" * 20
-        assert wire.decode_ipv4(raw).payload == b"ab"
+        # IP total-length and the UDP length trim ethernet minimum-size padding.
+        raw = udp_frame(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", b"ab")
+        assert len(raw) == 60
+        assert wire.decode_udp_frame(raw + b"\x00" * 20)[-1] == b"ab"
 
 
 class TestTcpUdpRoundtrip:
@@ -262,12 +285,92 @@ class TestTcpUdpRoundtrip:
     @settings(max_examples=100)
     def test_udp_roundtrip(self, sp, dp, payload):
         src, dst = b"\x00" * 4, b"\xff" * 4
-        decoded = wire.decode_udp(wire.encode_udp(UdpDatagram(sp, dp, payload), src, dst), src, dst)
-        assert decoded == UdpDatagram(sp, dp, payload)
+        raw = udp_frame(src, dst, payload, ports=(sp, dp))
+        assert raw == oracle_udp_frame(src, dst, payload, ports=(sp, dp))
+        assert wire.decode_udp_frame(raw) == (SRC.octets, src, dst, wire.IPPROTO_UDP, sp, dp, payload)
+
+
+class TestUdpFrame:
+    """The flat UDP frame decoder against the reference decoders."""
+
+    @given(
+        payload=st.binary(max_size=64), proto=st.sampled_from([17, 17, 17, 1]),
+        damage=st.sampled_from([None, None, 14 + 10, 14 + 20 + 6, 14 + 20 + 7, 14 + 20 + 4, 14 + 20 + 5, 14 + 9,
+                                14 + 6, 14, 12, 2]),
+        no_checksum=st.booleans(), size=st.sampled_from([None, None, 13, 20, 34, 40, 41, 42, 60]),
+    )
+    @settings(max_examples=300)
+    def test_decode_agrees_with_the_reference_decoders(self, payload, proto, damage, no_checksum, size):
+        src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
+        raw = bytearray(oracle_udp_frame(src_ip, dst_ip, payload))
+        if no_checksum:
+            raw[40:42] = b"\x00\x00"
+        if proto != wire.IPPROTO_UDP:
+            raw = bytearray(ipv4_frame_with_field(bytes(raw), 9, proto))
+        if damage is not None:
+            raw[damage] ^= 0x01
+        raw = bytes(raw if size is None else raw[:size])
+        if wire.decode_tcp_frame(raw) is None and raw[12:14] != b"\x08\x06":
+            assert udp_malformed_as_named(wire.decode_udp_frame(raw)) == reference_udp_frame(raw)
+
+    def test_decode_names_the_malformed_layer(self):
+        src_ip, dst_ip = b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02"
+        good = udp_frame(src_ip, dst_ip, b"data", ports=(68, 67))
+        fields = (SRC.octets, src_ip, dst_ip, wire.IPPROTO_UDP, 68, 67)
+        assert wire.decode_udp_frame(good) == (*fields, b"data")
+        assert wire.decode_udp_frame(good[:40] + b"\x00\x00" + good[42:]) == (*fields, b"data")  # no checksum
+        for offset, expected in ((24, "ipv4_malformed"), (40, (*fields, None)), (43, (*fields, None))):
+            bad = bytearray(good)
+            bad[offset] ^= 0x01  # a checksum, or the payload
+            assert wire.decode_udp_frame(bytes(bad)) == expected
+        assert wire.decode_udp_frame(good[:38] + b"\x00\x07" + good[40:]) == (*fields, None)  # length under 8
+        assert wire.decode_udp_frame(good[:38] + b"\x00\x0d" + good[40:]) == (*fields, None)  # past the packet
+        assert wire.decode_udp_frame(good[:33]) == "ipv4_malformed"
+        assert wire.decode_udp_frame(good[:12] + b"\x86\xdd" + good[14:]) == "ethertype"
+
+
+def reference_udp_frame(raw: bytes):
+    """What ``decode_udp_frame`` should return, by the reference decoders."""
+    try:
+        frame = decode_frame(raw)
+    except ValueError:
+        return "frame_malformed"
+    if frame.ethertype != wire.ETHERTYPE_IPV4:
+        return "ethertype"
+    try:
+        pkt = decode_ipv4(frame.payload)
+    except ValueError:
+        return "ipv4_malformed"
+    if pkt.protocol != wire.IPPROTO_UDP:
+        return frame.src, pkt.src_ip, pkt.dst_ip, pkt.protocol, 0, 0, None
+    try:
+        dgram = decode_udp(pkt.payload, pkt.src_ip, pkt.dst_ip)
+    except ValueError:
+        return "udp_malformed", frame.src, pkt.src_ip, pkt.dst_ip
+    return frame.src, pkt.src_ip, pkt.dst_ip, pkt.protocol, dgram.src_port, dgram.dst_port, dgram.payload
+
+
+def udp_malformed_as_named(fields):
+    """A result of ``decode_udp_frame`` for a UDP datagram whose payload is
+    None, as its drop name and the addresses a stack still learns from; the
+    ports of a bad datagram carry no meaning."""
+    if isinstance(fields, tuple) and fields[3] == wire.IPPROTO_UDP and fields[-1] is None:
+        return ("udp_malformed", *fields[:3])
+    return fields
+
+
+def ipv4_frame_with_field(raw: bytes, offset: int, value: int) -> bytes:
+    """``raw`` with byte ``offset`` of its IPv4 header set to ``value``, and
+    the header checksum made to fit."""
+    header = bytearray(raw[14:34])
+    header[offset] = value
+    header[10:12] = b"\x00\x00"
+    header[10:12] = ones_complement_checksum(bytes(header)).to_bytes(2, "big")
+    return raw[:14] + bytes(header) + raw[34:]
 
 
 class TestTcpFrame:
-    """The flat TCP frame codec against the object codecs it stands in for."""
+    """The flat TCP frame codec against the reference object codecs."""
 
     @given(
         macs=st.tuples(st.binary(min_size=6, max_size=6), st.binary(min_size=6, max_size=6)),
@@ -287,9 +390,7 @@ class TestTcpFrame:
             window=window, payload=payload,
         )
         pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, encode_tcp(seg, src_ip, dst_ip), ident=ident)
-        expected = wire.encode_frame(
-            EthernetFrame(MacAddress(dst_mac), MacAddress(src_mac), wire.ETHERTYPE_IPV4, wire.encode_ipv4(pkt))
-        )
+        expected = encode_frame(EthernetFrame(dst_mac, src_mac, wire.ETHERTYPE_IPV4, encode_ipv4(pkt)))
         raw = wire.encode_tcp_frame(
             dst_mac, src_mac, src_ip, dst_ip, int.from_bytes(src_ip + dst_ip, "big"), ident,
             sp, dp, seq, ack, flags, window, payload,
@@ -339,9 +440,21 @@ class TestTcpFrame:
         assert wire.decode_tcp_frame(tcp_frame(src_ip, dst_ip, seg, OPT_TIMESTAMP))[-1] == b"after"
         udp = bytearray(good)
         udp[14 + 9] = wire.IPPROTO_UDP
-        assert wire.decode_tcp_frame(bytes(udp)) is None  # for the object codecs
+        assert wire.decode_tcp_frame(bytes(udp)) is None  # for decode_udp_frame
         assert wire.decode_tcp_frame(good[:33]) is None
         assert wire.decode_tcp_frame(good[:12] + b"\x08\x06" + good[14:]) is None  # ARP
+
+    @pytest.mark.parametrize("options, mss", [
+        (b"", None), (OPT_MSS, 1460), (OPT_TIMESTAMP, None), (b"\x01\x01" + OPT_MSS[:2] + b"\x02\x18\x00\x00", 536),
+        (OPT_TIMESTAMP + bytes((2, 4, 0, 0)), 0), (bytes((0, 2, 4, 5)), None), (bytes((8, 0, 2, 4)), None),
+        (bytes((8, 9, 2, 4)), None), (bytes((2, 3, 1, 1)), None),
+    ], ids=["none", "mss", "timestamp", "after_nops", "after_timestamp", "after_end", "length_0", "past_the_end",
+            "bad_length"])
+    def test_mss_option_is_read_from_the_options(self, options, mss):
+        seg = TcpSegment(80, 49152, 1000, 0, syn=True)
+        raw = tcp_frame(b"\x0a\x00\x02\x0f", b"\x0a\x00\x02\x02", seg, options)
+        assert wire.decode_tcp_frame(raw)[-1] == b""
+        assert wire.tcp_mss_option(raw) == mss
 
 
 def tcp_frame(src_ip: bytes, dst_ip: bytes, seg: TcpSegment, options: bytes = b"", flags: int | None = None) -> bytes:
@@ -352,26 +465,26 @@ def tcp_frame(src_ip: bytes, dst_ip: bytes, seg: TcpSegment, options: bytes = b"
         segment[16:18] = b"\x00\x00"
         segment[16:18] = tcp_checksum_reference(src_ip, dst_ip, bytes(segment)).to_bytes(2, "big")
     pkt = Ipv4Packet(src_ip, dst_ip, wire.IPPROTO_TCP, bytes(segment))
-    return wire.encode_frame(EthernetFrame(BCAST, SRC, wire.ETHERTYPE_IPV4, wire.encode_ipv4(pkt)))
+    return encode_frame(EthernetFrame(BCAST.octets, SRC.octets, wire.ETHERTYPE_IPV4, encode_ipv4(pkt)))
 
 
 def reference_tcp_frame(raw: bytes):
     """What ``decode_tcp_frame`` should return, by the reference decoders."""
     try:
-        frame = reference_decode_frame(raw)
+        frame = decode_frame(raw)
     except ValueError:
         return None
-    if frame["ethertype"] != wire.ETHERTYPE_IPV4 or len(frame["payload"]) < 20 or frame["payload"][9] != 6:
+    if frame.ethertype != wire.ETHERTYPE_IPV4 or len(frame.payload) < 20 or frame.payload[9] != 6:
         return None
     try:
-        pkt = reference_decode_ipv4(frame["payload"])
+        pkt = decode_ipv4(frame.payload)
     except ValueError:
         return "ipv4_malformed"
     try:
-        seg = decode_tcp(pkt["payload"], pkt["src"], pkt["dst"])
+        seg = decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip)
     except ValueError:
-        return "tcp_malformed", frame["src"], pkt["src"], pkt["dst"]
-    return (frame["src"], pkt["src"], pkt["dst"], seg.src_port, seg.dst_port, seg.seq, seg.ack,
+        return "tcp_malformed", frame.src, pkt.src_ip, pkt.dst_ip
+    return (frame.src, pkt.src_ip, pkt.dst_ip, seg.src_port, seg.dst_port, seg.seq, seg.ack,
             seg.flags, seg.window, seg.payload)
 
 
