@@ -204,6 +204,7 @@ class MacDevice:
             slot[1] = 0
         self.tx_cursor = 0
         self.rx_cursor = self.regs[TX_BD_NUM]
+        self._mac = self.programmed_mac()  # what _rx_filter matches unicast frames to
 
     def reset(self) -> None:
         """Return to power-on state; deasserts the IRQ line."""
@@ -252,6 +253,9 @@ class MacDevice:
             self.regs[MODER] = value
             if value & MODER_TXEN:
                 self.start_xmit()
+        elif offset == MAC_ADDR0 or offset == MAC_ADDR1:
+            self.regs[offset] = value
+            self._mac = self.programmed_mac()
         else:
             self.regs[offset] = value
 
@@ -373,6 +377,16 @@ class MacDevice:
         self.update_irq()
         return True
 
+    def rx_ring_full(self) -> bool:
+        """Whether RX is enabled and the descriptor ``receive`` would take next
+        is not EMPTY, so a frame offered now would be refused with INT_BUSY.
+        A query from the backend's side: it changes nothing and traces nothing."""
+        tx_count = self.regs[TX_BD_NUM]
+        if not self.regs[MODER] & MODER_RXEN or tx_count >= BD_COUNT:
+            return False  # refused or not, draining the ring changes nothing
+        slot = self.rx_cursor if tx_count <= self.rx_cursor < BD_COUNT else tx_count
+        return not self.descriptors[slot][0] & BD_EMPTY
+
     def _rx_filter(self, dst: bytes) -> bool:
         moder = self.regs[MODER]
         if moder & MODER_PRO:
@@ -386,7 +400,7 @@ class MacDevice:
             if self.tracing:
                 self.trace.emit("open_eth_receive_mcast", lambda: f"idx={index} accepted={int(accepted)}")
             return accepted
-        return dst == self.programmed_mac()
+        return dst == self._mac
 
     def programmed_mac(self) -> bytes:
         a0 = self.regs[MAC_ADDR0]

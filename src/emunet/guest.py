@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import device as dev
-from .tcp import WINDOW, TcpEndpoint, send_mss_for, seq_add
+from .tcp import WINDOW, TcpEndpoint, send_mss_for, send_owed_acks, seq_add
 from .wire import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -299,7 +299,7 @@ class GuestTcpConn(TcpEndpoint):
         peer_port: int,
         app_factory: Callable,
     ):
-        super().__init__(local_port, peer_port, stack.rng.getrandbits(32), stack.drop_counts)
+        super().__init__(local_port, peer_port, stack.rng.getrandbits(32), stack.drop_counts, stack.acks_owed)
         self.stack = stack
         self.peer_ip = peer_ip
         self.next_hop = stack._next_hop(peer_ip)
@@ -363,6 +363,7 @@ class GuestStack:
         self.arp_pending: dict[bytes, list[bytes]] = {}  # next hop -> IPv4 frames for it
         self.listeners: dict[int, Callable] = {}
         self.conns: dict[tuple, GuestTcpConn] = {}
+        self.acks_owed: list[GuestTcpConn] = []  # bare ACKs owed, sent at the end of stack_step
         self.drop_counts: Counter = Counter()
         self.served_count = 0
         self.app_connect_events = 0
@@ -383,12 +384,15 @@ class GuestStack:
         self._dhcp_send_discover()
 
     def stack_step(self) -> None:
-        """One interrupt-driven step: acknowledge, drain RX, run protocols."""
+        """One interrupt-driven step: acknowledge, drain RX, run protocols,
+        then send the bare ACKs the drained frames left owed."""
         pending = self.device.reg_read(dev.INT_SOURCE)
         if pending:
             self.device.reg_write(dev.INT_SOURCE, pending)
         for raw in self.driver.poll_rx():
             self._frame_in(raw)
+        if self.acks_owed:
+            send_owed_acks(self.acks_owed)
 
     # -- frames --------------------------------------------------------------
 

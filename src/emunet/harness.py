@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import flashimg
@@ -34,20 +34,24 @@ _PUMP_BOUND = 10_000  # safety valve; an 8 MiB echo polls the NAT at most 10 tim
 def pump(usernet: UserNetStack, device: MacDevice, guest: GuestStack) -> None:
     """Pump NAT output and guest interrupt work until quiescent.
 
+    Each round delivers one batch, every frame the NAT has queued, to the
+    device and then steps the guest once, as a NAPI poll drains a ring per
+    interrupt.  The guest steps early only when the RX descriptor the next
+    frame would take is still full (``MacDevice.rx_ring_full``), so the
+    device never refuses a frame for want of a descriptor.
+
     Raises RuntimeError if frames still move after ``_PUMP_BOUND`` rounds.
     """
     for _ in range(_PUMP_BOUND):
         frames = usernet.poll_frames_out()
-        if frames:
-            for frame in frames:
-                device.receive(frame)
-                if device.irq_asserted:
-                    guest.stack_step()
-            continue
+        for frame in frames:
+            if device.rx_ring_full():
+                guest.stack_step()
+            device.receive(frame)
         if device.irq_asserted:
             guest.stack_step()
-            continue
-        return
+        elif not frames:
+            return
     raise RuntimeError("pump did not quiesce")
 
 

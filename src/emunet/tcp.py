@@ -22,12 +22,25 @@ The send buffer holds every byte from ``snd_una`` on (RFC 9293 section
 wait for window.  An ACK drops what it covers from the front, so a
 retransmission can resend any part of the flight from ``snd_una``.
 
-ACKs ride on data: after a segment arrives, queued data is sent first, and
-a bare ACK follows only if the segment was out of order or a duplicate, or
-if no segment sent since has carried the new ``rcv_nxt`` (RFC 9293 section
-3.8.6.3, with no timer).
+ACKs ride on data, and a bare ACK waits for the end of a batch (RFC 9293
+section 3.8.6.3, with no timer).  After a segment arrives, queued data is
+sent first, and every segment sent carries the new ``rcv_nxt``.  A bare ACK
+goes out at once only for a FIN, an out-of-order or duplicate segment, or
+a second full-sized segment still unacknowledged (RFC 1122 section
+4.2.3.2).  Otherwise an in-order segment that leaves a bare ACK owed puts
+its endpoint on the owning stack's ``acks_owed`` list, and the stack calls
+``send_owed_acks`` at the end of its batch: the NAT once it has no other
+frame queued toward the guest, the guest at the end of each interrupt step.
+There an endpoint still owing sends one bare ACK; one whose ACK a segment
+since has carried, or that has closed, sends nothing.
 
-Segments are cut at ``send_mss``: the peer's MSS option (RFC 9293 section
+Segments are cut at ``send_mss`` and sent while the peer's window has room,
+but a segment shorter than ``send_mss`` goes out only if it empties the
+send buffer or nothing is in flight (sender-side silly window avoidance,
+RFC 9293 section 3.8.6.2.1, without its timer): the ACK of the flight
+sends the rest, so a window under one MSS is never waited on for good.
+
+``send_mss`` is the peer's MSS option (RFC 9293 section
 3.7.1), which the owning stack reads from the peer's SYN or SYN-ACK with
 ``wire.tcp_mss_option`` and passes through ``send_mss_for``, capped at our
 ``MSS`` and held at least ``MIN_MSS``, as Linux's ``tcp_min_snd_mss`` holds it,
@@ -64,13 +77,25 @@ def send_mss_for(option: int | None) -> int:
     return MSS if option is None else max(MIN_MSS, min(MSS, option))
 
 
+def send_owed_acks(acks_owed: list) -> None:
+    """A stack's flush point: one bare ACK from each endpoint on ``acks_owed``
+    that is still synchronized and still owes one; the list is emptied."""
+    for ep in acks_owed:
+        ep.ack_owed = False
+        if ep.last_ack_sent != ep.rcv_nxt and ep.state in DATA_STATES:
+            ep._transmit(TCP_ACK)
+    acks_owed.clear()
+
+
 class TcpEndpoint:
     """One end of a TCP connection; subclasses connect it to the world."""
 
-    def __init__(self, local_port: int, peer_port: int, iss: int, drop_counts: Counter):
+    def __init__(self, local_port: int, peer_port: int, iss: int, drop_counts: Counter, acks_owed: list):
         self.local_port = local_port
         self.peer_port = peer_port
         self.drop_counts = drop_counts
+        self.acks_owed = acks_owed  # the owning stack's, flushed by send_owed_acks
+        self.ack_owed = False  # on acks_owed
         self.state = "closed"
         self.iss = iss
         self.snd_nxt = iss
@@ -165,8 +190,12 @@ class TcpEndpoint:
                 reack = True
         self._pump()
         # data sent by _pump already carries the ack
-        if reack or self.last_ack_sent != self.rcv_nxt:
+        unacked = (self.rcv_nxt - self.last_ack_sent) & _SEQ_MASK
+        if reack or (unacked and (flags & TCP_FIN or unacked >= 2 * MSS)):
             self._transmit(TCP_ACK)
+        elif unacked and not self.ack_owed:
+            self.ack_owed = True
+            self.acks_owed.append(self)
         self._maybe_finish()
 
     def _process_ack(self, ack: int, window: int) -> bool:
@@ -199,12 +228,13 @@ class TcpEndpoint:
             return
         buf = self.send_buf
         flight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
+        mss = self.send_mss
         while flight < len(buf):
-            room = self.peer_window - flight
-            if room <= 0:
-                break
-            chunk = bytes(buf[flight : flight + min(self.send_mss, room)])
-            flight += len(chunk)
+            size = min(mss, self.peer_window - flight, len(buf) - flight)
+            if size <= 0 or (size < mss and flight and flight + size < len(buf)):
+                break  # no window, or short with more to follow once the flight is acked
+            chunk = bytes(buf[flight : flight + size])
+            flight += size
             self._transmit(TCP_ACK | TCP_PSH if flight == len(buf) else TCP_ACK, chunk)
         if self.close_requested and flight == len(buf):
             self.fin_sent = True

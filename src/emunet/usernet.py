@@ -40,7 +40,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .tcp import TcpEndpoint, send_mss_for, seq_add
+from .tcp import TcpEndpoint, send_mss_for, send_owed_acks, seq_add
 from .tcp import WINDOW as GUEST_WINDOW  # the window advertised to the guest
 from .wire import (
     ARP_OP_REPLY,
@@ -187,6 +187,9 @@ class SubnetPlan:
 RETRANSMIT_S = 0.5
 MAX_RETRIES = 5
 HANDSHAKE_TIMEOUT_S = 5.0
+GUEST_WAIT_POLL_S = 0.05  # how often a forward waiting for the guest looks again
+ARP_SOLICIT = 3  # ARP requests a waiting forward sends (Linux's mcast_solicit)
+ARP_RETRANS_S = 1.0  # the least time between them (Linux's retrans_time)
 ACCEPT_RETRY_S = 0.1  # how long a listener rests after accept() fails for want of resources
 SEND_BUF_HIGH = 256 * 1024  # host bytes a flow holds, not yet acknowledged, before it stops reading
 DRAIN_IDLE_S = 5.0  # how long a torn-down flow waits for its host to take more of out_buf
@@ -205,7 +208,7 @@ class NatFlow(TcpEndpoint):
         remote_ip: bytes,
         remote_port: int,
     ):
-        super().__init__(remote_port, guest_port, stack.rng.getrandbits(32), stack.drop_counts)
+        super().__init__(remote_port, guest_port, stack.rng.getrandbits(32), stack.drop_counts, stack._acks_owed)
         self.stack = stack
         self.guest_ip = guest_ip
         self.remote_ip = remote_ip  # the address we speak to the guest from
@@ -481,6 +484,7 @@ class UserNetStack:
         self._next_lease = int.from_bytes(self.subnet.dhcp_start, "big")
         self._arp_table: dict[bytes, MacAddress] = {}
         self._flows: dict[tuple, NatFlow] = {}
+        self._acks_owed: list[NatFlow] = []  # bare ACKs owed, sent once no other frame is queued
         self._draining: set[NatFlow] = set()  # closed flows still sending out_buf to the host
         self._listeners: list[socket.socket] = []
         self._unsent: list[NatFlow] = []  # flows whose out_buf waits for this settle pass
@@ -545,7 +549,10 @@ class UserNetStack:
     # -- frame plumbing ------------------------------------------------------
 
     def poll_frames_out(self) -> list[bytes]:
-        """Drain frames queued toward the guest, FIFO."""
+        """Drain frames queued toward the guest, FIFO; once no other frame is
+        queued, the bare ACKs flows owe are the frames."""
+        if not self._frames_out and self._acks_owed:
+            send_owed_acks(self._acks_owed)
         out = list(self._frames_out)
         self._frames_out.clear()
         return out
@@ -631,6 +638,9 @@ class UserNetStack:
 
     def dhcp_step(self, msg: DhcpMessage) -> DhcpMessage | None:
         """Serve one client message; returns the reply, if any."""
+        if msg.op != 1:  # a server takes only BOOTREQUEST (RFC 2131 section 4.1)
+            self.drop_counts["dhcp_op"] += 1
+            return None
         mac = msg.client_mac.octets
         if msg.message_type == DHCP_DISCOVER:
             ip = self._leases.get(mac) or self._offers.get(mac)
@@ -700,20 +710,29 @@ class UserNetStack:
     def host_connection_in(self, rule: ForwardRule, sock: socket.socket) -> None:
         """Begin forwarding one accepted host connection toward the guest."""
         deadline = self.loop.time() + HANDSHAKE_TIMEOUT_S
-        self._start_when_guest_known(rule, sock, deadline)
+        self._start_when_guest_known(rule, sock, deadline, ARP_SOLICIT, 0.0)
 
-    def _start_when_guest_known(self, rule: ForwardRule, sock, deadline: float) -> None:
+    def _start_when_guest_known(
+        self, rule: ForwardRule, sock, deadline: float, asks_left: int, next_ask: float
+    ) -> None:
+        """Open the forward's flow once the guest's address and MAC are known,
+        looking again every GUEST_WAIT_POLL_S until ``deadline``; up to
+        ``asks_left`` more ARP requests for the guest may go out, the next
+        no sooner than ``next_ask``."""
+        now = self.loop.time()
         guest_ip = ip_to_bytes(rule.guest_addr) if rule.guest_addr else self.first_lease()
         guest_mac = self._arp_table.get(guest_ip) if guest_ip else None
-        if guest_ip is not None and guest_mac is None:
+        if guest_ip is not None and guest_mac is None and asks_left and now >= next_ask:
             self._send_arp(ARP_OP_REQUEST, BROADCAST_MAC, self.subnet.gateway_ip, ZERO_MAC, guest_ip)
+            asks_left, next_ask = asks_left - 1, now + ARP_RETRANS_S
         if guest_ip is None or guest_mac is None:
-            if self.loop.time() >= deadline:
+            if now >= deadline:
                 sock.close()
                 self.drop_counts["fwd_no_guest"] += 1
                 return
-            self.loop.call_later(
-                0.05, lambda: self._start_when_guest_known(rule, sock, deadline)
+            self.loop.call_later(  # the last look is at the deadline itself
+                min(GUEST_WAIT_POLL_S, deadline - now),
+                lambda: self._start_when_guest_known(rule, sock, deadline, asks_left, next_ask),
             )
             return
         remote_port = self._next_eph_port(guest_ip, rule.guest_port)

@@ -193,6 +193,39 @@ def get_hello(instance: Instance) -> None:
     far.close()
 
 
+def echo_flow(instance: Instance, port: int = 49152):
+    """A NAT flow into a booted stepped echo instance, opened from one end of
+    a socket pair and established; returns the flow and the other end, the
+    host's, non-blocking."""
+    from emunet.usernet import NatFlow
+
+    guest_ip, gateway_ip = instance.guest.ip, instance.usernet.subnet.gateway_ip
+    near, far = socket.socketpair()
+    near.setblocking(False)
+    far.setblocking(False)
+    flow = NatFlow(instance.usernet, guest_ip, instance.guest.config.http_port, gateway_ip, port)
+    instance.usernet._flows[flow.key] = flow
+    step(instance.loop, lambda: flow.start_inbound(near))
+    assert flow.state == "established"
+    return flow, far
+
+
+def echo_through(instance: Instance, far: socket.socket, payload: bytes) -> bytes:
+    """Send ``payload`` from the host's end of an ``echo_flow`` and step the
+    loop until as many bytes have come back; returns them."""
+    far.sendall(payload)
+    echoed = bytearray()
+    for _ in range(1000):
+        if len(echoed) >= len(payload):
+            break
+        step(instance.loop)
+        try:
+            echoed += far.recv(1 << 20)
+        except BlockingIOError:
+            pass
+    return bytes(echoed)
+
+
 def inject(instance: Instance, frame: EthernetFrame) -> None:
     """Deliver one frame toward the guest on the loop, which pumps to quiescence."""
     raw = encode_frame(frame)

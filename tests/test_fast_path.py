@@ -32,7 +32,7 @@ from emunet.wire import (
     MacAddress,
     ip_to_bytes,
 )
-from helpers import boot, get_hello, nat_stack, step, stepped_instance
+from helpers import boot, echo_flow, echo_through, get_hello, nat_stack, stepped_instance
 from reference import (
     OPT_TIMESTAMP,
     EthernetFrame,
@@ -407,29 +407,14 @@ def test_64k_echo_takes_the_fast_path_for_every_established_data_segment(engine_
     calls, data_branch = engine_entries
     inst = stepped_instance(mode="echo")
     boot(inst)
-    near, far = socket.socketpair()
-    near.setblocking(False)
-    flow = NatFlow(inst.usernet, GUEST_IP, GUEST_PORT, GATEWAY_IP, NAT_PORT)
-    inst.usernet._flows[flow.key] = flow
-    step(inst.loop, lambda: flow.start_inbound(near))
+    flow, far = echo_flow(inst, NAT_PORT)
     conn = inst.guest.conns[(GATEWAY_IP, NAT_PORT, GUEST_PORT)]
-    assert flow.state == conn.state == "established"
+    assert conn.state == "established"
     guest_tx, usernet_tx = len(inst.guest_tx_raw), len(inst.usernet_tx_raw)
     calls.clear()
     data_branch.clear()
     payload = random.Random(0xFA57).randbytes(64 * 1024)
-    far.sendall(payload)
-    far.setblocking(False)
-    echoed = bytearray()
-    for _ in range(1000):
-        if len(echoed) == len(payload):
-            break
-        step(inst.loop)
-        try:
-            echoed += far.recv(1 << 20)
-        except BlockingIOError:
-            pass
-    assert echoed == payload
+    assert echo_through(inst, far, payload) == payload
     to_nat = segments(inst.guest_tx_raw[guest_tx:])
     to_guest = segments(inst.usernet_tx_raw[usernet_tx:])
     assert len(to_nat) > 40 and len(to_guest) > 40
@@ -437,7 +422,7 @@ def test_64k_echo_takes_the_fast_path_for_every_established_data_segment(engine_
     assert {(s.ack_flag, s.syn, s.fin, s.rst) for s in to_nat + to_guest} == predicted
     assert calls == data_branch == {flow: len(to_nat), conn: len(to_guest)}
     assert not inst.usernet.drop_counts and not inst.guest.drop_counts
-    near.close()
+    inst.usernet.stop()
     far.close()
 
 
@@ -447,7 +432,7 @@ DECODERS = ("decode_tcp_frame", "decode_udp_frame", "decode_arp", "decode_dhcp")
 class TestDecodesPerRequest:
     """Each TCP frame is parsed once, by ``decode_tcp_frame``, whatever its flags."""
 
-    def test_get_hello_parses_each_of_its_10_frames_once(self, monkeypatch):
+    def test_get_hello_parses_each_of_its_9_frames_once(self, monkeypatch):
         inst = stepped_instance()
         boot(inst)
         get_hello(inst)  # warm-up
@@ -461,9 +446,9 @@ class TestDecodesPerRequest:
         requests = 3
         for _ in range(requests):
             get_hello(inst)
-        assert len(inst.guest_tx_raw) + len(inst.usernet_tx_raw) - frames == 10 * requests
+        assert len(inst.guest_tx_raw) + len(inst.usernet_tx_raw) - frames == 9 * requests
         assert {name: decodes[name] for name in DECODERS} == {
-            "decode_tcp_frame": 10 * requests, "decode_udp_frame": 0, "decode_arp": 0, "decode_dhcp": 0,
+            "decode_tcp_frame": 9 * requests, "decode_udp_frame": 0, "decode_arp": 0, "decode_dhcp": 0,
         }
 
     @staticmethod

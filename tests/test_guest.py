@@ -93,6 +93,22 @@ class TestDriverInit:
         boot(inst)
         assert inst.device.programmed_mac() == inst.guest.mac.octets
 
+    @pytest.mark.parametrize("register", ["MAC_ADDR0", "MAC_ADDR1"])
+    def test_rewriting_a_mac_register_moves_the_unicast_filter(self, register):
+        inst = stepped_instance()
+        boot(inst)
+        device, old = inst.device, inst.guest.mac.octets
+        new = bytes((old[0] ^ 0x02, *old[1:5], old[5] ^ 0x01))  # differs in both registers' octets
+        value = int.from_bytes(new[2:], "big") if register == "MAC_ADDR0" else int.from_bytes(new[:2], "big")
+        device.reg_write(getattr(dev, register), value)
+        moved = new[:2] + old[2:] if register == "MAC_ADDR1" else old[:2] + new[2:]
+        assert device.programmed_mac() == moved
+        frame = bytes(6) + b"\x08\x00" + bytes(46)  # source and payload do not matter here
+        accepted = device.rx_accept_count
+        assert not device.receive(old + frame)
+        assert device.receive(moved + frame)
+        assert device.rx_accept_count == accepted + 1
+
     def test_all_rx_slots_empty_after_init(self):
         inst = stepped_instance()
         inst.guest.driver.init()

@@ -6,6 +6,7 @@ import random
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,10 @@ from emunet import trace
 from emunet.usernet import ForwardRule, NicConfig
 from emunet.wire import ip_to_bytes
 from helpers import (
-    LogCollector, boot, free_port, http_get, make_instance, stepped_instance, stepped_loop, wait_for
+    LogCollector, boot, echo_flow, echo_through, free_port, http_get, make_instance, stepped_instance,
+    step, stepped_loop, wait_for,
 )
+from reference import decode_ipv4, decode_tcp
 
 
 @pytest.fixture
@@ -161,9 +164,10 @@ class TestOneThreadPerInstance:
 
 
 class TestFramesPerOperation:
-    """ACKs ride on data: a bare ACK only when no segment carried it."""
+    """ACKs ride on data: a bare ACK only when no segment carried it, and
+    one bare ACK for all a batch left owed."""
 
-    def test_get_hello_is_6_frames_in_and_4_out(self, instance_factory):
+    def test_get_hello_is_5_frames_in_and_4_out(self, instance_factory):
         instance, _log, port = instance_factory()
 
         def idle():
@@ -175,9 +179,9 @@ class TestFramesPerOperation:
         assert http_get(port) == (200, b"Hello World!")
         assert wait_for(idle)
         rx1, tx1 = _frames_when_quiet(instance)
-        # in: SYN, ACK, request, ACK of reply, ACK of FIN, FIN
+        # in: SYN, ACK, request, one ACK of the reply and the FIN behind it, FIN
         # out: SYN-ACK, reply, FIN, ACK of FIN
-        assert (rx1 - rx0, tx1 - tx0) == (6, 4)
+        assert (rx1 - rx0, tx1 - tx0) == (5, 4)
 
     def test_echo_message_is_2_frames_in_and_1_out(self, instance_factory):
         instance, _log, port = instance_factory(mode="echo")
@@ -213,6 +217,54 @@ class TestFramesPerOperation:
             client.close()
         assert echoed == payload
         assert (rx1 - rx0) + (tx1 - tx0) <= 110
+
+
+class TestStepped64kEcho:
+    """A 64 KiB echo through a stepped instance, its host bytes read in one
+    ``recv``: every count is exact."""
+
+    ROUNDS = 2
+
+    @staticmethod
+    def _run(rounds):
+        """Per 64 KiB echoed: frames to the guest, frames from it, and guest steps."""
+        inst = stepped_instance(mode="echo")
+        boot(inst)
+        steps = [0]
+        stack_step = inst.guest.stack_step
+
+        def counted_step():
+            steps[0] += 1
+            stack_step()
+
+        inst.guest.stack_step = counted_step
+        _flow, far = echo_flow(inst)
+        payload = random.Random(0x64).randbytes(64 * 1024)
+        counts = []
+        for _ in range(rounds):
+            rx, tx, steps0 = len(inst.usernet_tx_raw), len(inst.guest_tx_raw), steps[0]
+            assert echo_through(inst, far, payload) == payload
+            counts.append((inst.usernet_tx_raw[rx:], inst.guest_tx_raw[tx:], steps[0] - steps0))
+        assert not inst.usernet.drop_counts and not inst.guest.drop_counts
+        inst.usernet.stop()
+        far.close()
+        return counts
+
+    @staticmethod
+    def _sizes(frames):
+        """How many TCP segments of each payload size ``frames`` hold."""
+        pkts = [decode_ipv4(raw[14:]) for raw in frames]
+        return Counter(len(decode_tcp(pkt.payload, pkt.src_ip, pkt.dst_ip).payload) for pkt in pkts)
+
+    def test_is_48_frames_in_45_out_and_11_guest_steps_every_time(self):
+        runs = [(len(rx), len(tx), steps) for _ in range(2) for rx, tx, steps in self._run(self.ROUNDS)]
+        assert runs == [(48, 45, 11)] * (2 * self.ROUNDS)
+
+    def test_each_way_is_44_full_segments_and_one_short_one(self):
+        # 65,536 = 44 x 1460 + 1296: a short segment only where the send buffer empties
+        for rx, tx, _steps in self._run(self.ROUNDS):
+            assert self._sizes(tx) == {1460: 44, 1296: 1}
+            assert self._sizes(rx) == {1460: 44, 1296: 1, 0: 3}  # and 3 bare ACKs no echoed data carried
 
 
 class TestRstAndTeardown:
@@ -437,6 +489,73 @@ class TestPump:
         loop.post(lambda: None)
         loop.run_once(0)
         assert loop.errors == 1  # counted, as an Instance's loop would count it
+
+
+class TestBatchedRx:
+    """The pump fills the RX ring and steps the guest once per batch."""
+
+    @staticmethod
+    def _watched(inst):
+        """Steps of the guest, and what ``receive`` returned and left in INT_SOURCE."""
+        from emunet.device import INT_SOURCE
+
+        device, seen = inst.device, {"steps": 0, "accepted": [], "int_source": 0}
+        receive, stack_step = device.receive, inst.guest.stack_step
+
+        def watched_receive(raw):
+            seen["accepted"].append(receive(raw))
+            seen["int_source"] |= device.regs[INT_SOURCE]
+            return seen["accepted"][-1]
+
+        def counted_step():
+            seen["steps"] += 1
+            stack_step()
+
+        device.receive, inst.guest.stack_step = watched_receive, counted_step
+        return seen
+
+    def test_20_frames_at_once_are_all_delivered_in_at_most_4_steps(self):
+        from emunet.device import INT_BUSY
+        from emunet.guest import RX_SLOTS
+        from emunet.wire import ARP_OP_REQUEST, ZERO_MAC, MacAddress
+
+        inst = stepped_instance()
+        boot(inst)
+        stack, guest = inst.usernet, inst.guest
+        seen = self._watched(inst)
+        answered = len(inst.guest_tx_raw)
+
+        def ask_20():  # who-has for the guest, each answered with one reply
+            for _ in range(20):
+                stack._send_arp(ARP_OP_REQUEST, MacAddress(guest.mac.octets), stack.subnet.gateway_ip, ZERO_MAC,
+                                guest.ip)
+
+        assert 20 > 2 * RX_SLOTS
+        step(inst.loop, ask_20)  # the 20 are queued at once, then pumped
+        assert seen["accepted"] == [True] * 20
+        assert not seen["int_source"] & INT_BUSY
+        assert len(inst.guest_tx_raw) - answered == 20
+        assert seen["steps"] <= 4
+        assert not guest.drop_counts
+
+    def test_ring_full_query_changes_nothing(self):
+        from emunet.guest import RX_SLOTS
+
+        sink = io.StringIO()
+        inst = stepped_instance(trace=trace.enable(["open_eth*"], sink))
+        boot(inst)
+        device = inst.device
+        frame = inst.guest.mac.octets + bytes(6) + b"\x08\x00" + bytes(46)
+        for _ in range(RX_SLOTS - 1):
+            device.receive(frame)
+        assert not device.rx_ring_full()
+        device.receive(frame)
+        before = (dict(device.regs), [list(d) for d in device.descriptors], device.rx_cursor,
+                  device.irq_asserted, sink.tell())
+        assert device.rx_ring_full() and device.rx_ring_full()
+        after = (dict(device.regs), [list(d) for d in device.descriptors], device.rx_cursor,
+                 device.irq_asserted, sink.tell())
+        assert after == before  # no INT_BUSY, no descriptor or cursor moved, no trace event
 
 
 class TestGuestRam:

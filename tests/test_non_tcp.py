@@ -140,6 +140,9 @@ NAT_DROPS = {
     "udp_unhandled: DNS": (from_guest_udp(53, b"query", DNS_IP), "udp_unhandled"),
     "dhcp_malformed: no magic cookie": (from_guest_udp(67, bytes(300)), "dhcp_malformed"),
     "dhcp_malformed: truncated": (from_guest_udp(67, dhcp(1, DHCP_DISCOVER)[:239]), "dhcp_malformed"),
+    "dhcp_op: a BOOTREPLY carrying DISCOVER": (from_guest_udp(67, dhcp(2, DHCP_DISCOVER)), "dhcp_op"),
+    "dhcp_op: a BOOTREPLY carrying REQUEST": (
+        from_guest_udp(67, dhcp(2, DHCP_REQUEST, requested_ip=GUEST_IP, server_id=GATEWAY_IP)), "dhcp_op"),
 }
 
 

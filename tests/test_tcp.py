@@ -100,10 +100,10 @@ class _End:
         seg = self._peer_segment(seq, ack, **fields)
         self.ep.segment_in(seg.seq, seg.ack, seg.flags, seg.window, seg.payload)
 
-    def _peer_segment(self, seq, ack=None, **fields):
+    def _peer_segment(self, seq, ack=None, window=8192, **fields):
         return TcpSegment(
             src_port=self.ep.peer_port, dst_port=self.ep.local_port, seq=seq,
-            ack=self.ep.snd_nxt if ack is None else ack, ack_flag=True, window=8192,
+            ack=self.ep.snd_nxt if ack is None else ack, ack_flag=True, window=window,
             **fields,
         )
 
@@ -138,6 +138,14 @@ class _End:
             self.ep.close()
         else:
             self.ep.host_eof_seen()
+
+    def flush(self):
+        """The stack's end of a batch, where owed bare ACKs go out: the NAT's
+        poll for frames toward the guest, or the guest's interrupt step."""
+        if self.kind == "guest":
+            self.stack.stack_step()
+        else:
+            self.stack.poll_frames_out()
 
     def registered(self):
         table = self.stack._flows if self.kind == "nat" else self.stack.conns
@@ -204,6 +212,96 @@ def test_ack_frees_the_send_buffer_from_the_front(end):
     assert end.ep.send_buf == (bytes(range(200)) * 20)[1500:]
     end.peer_in(end.peer_nxt)
     assert end.ep.send_buf == b"" and end.ep.snd_una == end.ep.snd_nxt
+
+
+# -- bare ACKs owed to the end of a batch ----------------------------------------------
+
+def test_in_order_data_with_nothing_to_send_is_acked_once_at_the_flush(end):
+    end.peer_in(end.peer_nxt, payload=b"first")
+    end.peer_in(seq_add(end.peer_nxt, 5), payload=b"second")
+    assert end.delivered() == [("data", b"first"), ("data", b"second")]
+    assert end.sent == []  # owed, not sent
+    end.flush()
+    assert len(end.sent) == 1 and _bare_ack(end.sent[0])
+    assert end.sent[0].ack == end.ep.rcv_nxt == seq_add(end.peer_nxt, 11)
+    end.sent.clear()
+    end.flush()
+    assert end.sent == []  # the debt is paid
+
+
+def test_a_segment_carrying_the_ack_pays_the_debt(end):
+    end.peer_in(end.peer_nxt, payload=b"question")
+    end.ep.send(b"answer")
+    (reply,) = end.sent
+    assert reply.payload == b"answer" and reply.ack == end.ep.rcv_nxt
+    end.flush()
+    assert end.sent == [reply]
+
+
+def test_a_connection_reset_before_the_flush_sends_nothing(end):
+    end.peer_in(end.peer_nxt, payload=b"owed")
+    end.peer_in(seq_add(end.peer_nxt, 4), rst=True)
+    assert end.ep.state == "closed"
+    end.flush()
+    assert end.sent == []
+
+
+@pytest.mark.parametrize("trigger", ["fin", "out_of_order", "duplicate", "second_full_segment"])
+def test_the_ack_goes_at_once_for(end, trigger):
+    first = b"x" * (MSS if trigger == "second_full_segment" else 3)
+    end.peer_in(end.peer_nxt, payload=first)
+    assert end.sent == []
+    nxt = seq_add(end.peer_nxt, len(first))
+    segment = {
+        "fin": dict(seq=nxt, fin=True),
+        "out_of_order": dict(seq=seq_add(nxt, 100), payload=b"ahead"),
+        "duplicate": dict(seq=end.peer_nxt, payload=first),
+        "second_full_segment": dict(seq=nxt, payload=b"y" * MSS),
+    }[trigger]
+    end.peer_in(**segment)
+    assert len(end.sent) == 1 and _bare_ack(end.sent[0])
+    assert end.sent[0].ack == end.ep.rcv_nxt  # which covers the first segment too
+    end.flush()
+    assert len(end.sent) == 1
+
+
+def test_a_single_full_segment_waits_for_the_flush(end):
+    end.peer_in(end.peer_nxt, payload=b"x" * MSS)
+    assert end.sent == []
+    end.flush()
+    assert [seg.ack for seg in end.sent] == [seq_add(end.peer_nxt, MSS)]
+
+
+# -- sender-side silly window avoidance ----------------------------------------------
+
+def test_a_short_segment_waits_while_a_flight_is_out_and_more_follows(end):
+    data = bytes(range(250)) * 40  # 10,000 bytes: 5 full segments fill 7,300 of the 8,192 window
+    end.ep.send(data)
+    assert [len(seg.payload) for seg in end.sent] == [MSS] * 5
+    end.sent.clear()
+    end.peer_in(end.peer_nxt, ack=seq_add(end.ep.snd_una, MSS))  # 2,352 of window now free
+    assert [len(seg.payload) for seg in end.sent] == [MSS]
+    end.sent.clear()
+    end.peer_in(end.peer_nxt)  # all acked: the rest, 1,240, empties the buffer
+    assert [len(seg.payload) for seg in end.sent] == [10_000 - 6 * MSS]
+    assert end.sent[0].payload == data[6 * MSS:]
+
+
+@pytest.mark.parametrize("window", [1000, 2000])
+def test_a_peer_window_under_one_mss_still_gets_every_byte(end, window):
+    data = bytes(range(256)) * 20  # 5,120 bytes
+    end.peer_in(end.peer_nxt, window=window)  # the peer's window shrinks
+    end.ep.send(data)
+    received = bytearray()
+    for _ in range(20):  # each ACK, with no timer, sends what the window takes
+        sizes = [len(seg.payload) for seg in end.sent]
+        assert sizes and all(size == min(MSS, window) or i == len(sizes) - 1 for i, size in enumerate(sizes))
+        received += b"".join(seg.payload for seg in end.sent)
+        end.sent.clear()
+        if len(received) == len(data):
+            break
+        end.peer_in(end.peer_nxt, window=window)
+    assert received == data
 
 
 def test_option_bearing_data_segment_delivers_the_bytes_after_the_options(end):

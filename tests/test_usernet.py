@@ -502,6 +502,38 @@ class TestFlowTimers:
         assert far.recv(100) == b""
         far.close()
 
+    def test_forward_waiting_for_the_guest_sends_3_arp_requests_a_second_apart(self):
+        import socket as socket_mod
+
+        stack = nat_stack()
+        rule = ForwardRule("tcp", "", 8080, "10.0.2.15", 80)  # a guest that never answers ARP
+        near, far = socket_mod.socketpair()
+        stack.host_connection_in(rule, near)
+        requests = [(stack.loop.time(), frame) for frame in frames_out(stack)]
+        for _ in range(110):  # every 50 ms re-check, to the 5 s deadline and past it
+            advance(stack.loop, 0.05)
+            requests += [(stack.loop.time(), frame) for frame in frames_out(stack)]
+        assert all(frame.ethertype == ETHERTYPE_ARP for _at, frame in requests)
+        asked = [decode_arp(frame.payload) for _at, frame in requests]
+        assert [(pkt.op, pkt.target_ip) for pkt in asked] == [(ARP_OP_REQUEST, ip_to_bytes("10.0.2.15"))] * 3
+        times = [at for at, _frame in requests]
+        assert times[0] == 0 and all(b - a >= 1.0 - 1e-9 for a, b in zip(times, times[1:]))
+        assert stack.drop_counts == {"fwd_no_guest": 1}
+        far.settimeout(5)
+        assert far.recv(100) == b""  # the host connection is closed
+        far.close()
+
+    def test_forward_waiting_for_the_guest_asks_3_times_in_5_seconds(self):
+        import socket as socket_mod
+
+        stack = nat_stack()
+        near, far = socket_mod.socketpair()
+        stack.host_connection_in(ForwardRule("tcp", "", 8080, "10.0.2.15", 80), near)
+        advance(stack.loop, 5)
+        assert [frame.ethertype for frame in frames_out(stack)] == [ETHERTYPE_ARP] * 3
+        assert stack.drop_counts == {"fwd_no_guest": 1}
+        far.close()
+
     def test_cancelled_timer_releases_its_callback(self):
         import weakref
 
